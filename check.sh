@@ -174,6 +174,15 @@ dune exec bin/mmrepro.exe -- serve --mix reclaim_storm --sessions 240 --cpus 2 \
 cmp /tmp/storm1.json /tmp/storm2.json \
   || { echo "serve: reclaim_storm -j 2 or rerun gave different JSON"; exit 1; }
 
+echo "== serve: reclaim_storm at 4 CPUs completes on both CortenMM protocols =="
+# The page-out clock scan races munmap and swap-out on every CPU; a
+# stale accessed-bit write-back used to resurrect unmapped PTEs here
+# and abort the run with Addr_space.Invariant.
+dune exec bin/mmrepro.exe -- serve --mix reclaim_storm --sessions 3000 \
+  --cpus 4 --systems cortenmm-rw,cortenmm-adv > /tmp/check_storm4.out 2>&1 \
+  || { cat /tmp/check_storm4.out; exit 1; }
+tail -n +3 /tmp/check_storm4.out | head -n 4
+
 echo "== fig1 golden digest: riders charge zero cycles when off =="
 # Re-run the pinned digest test by name: the daemon-off default world
 # must stay bit-identical to the seed across every feature rider.

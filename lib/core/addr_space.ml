@@ -293,7 +293,7 @@ let adv_lock t ~lo ~hi =
       Mm_sim.Mutex_s.unlock cover.Pt.frame.Mm_phys.Frame.lock;
       Mm_sim.Rcu_s.read_unlock rcu;
       t.stale_retries <- t.stale_retries + 1;
-      if Mm_obs.Trace.on () then begin
+      if Mm_obs.Bus.on () then begin
         Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "addr_space.stale_retries");
         Mm_sim.Engine.obs Mm_obs.Event.Stale_retry
       end;
@@ -350,26 +350,22 @@ let check_range t ~lo ~hi =
 let lock t ~lo ~hi =
   check_range t ~lo ~hi;
   note_cpu t;
-  let tracing = Mm_obs.Trace.on () && Mm_sim.Engine.in_fiber () in
-  let t0 = if tracing then Mm_sim.Engine.now () else 0 in
+  let observed = Mm_obs.Bus.on () && Mm_sim.Engine.in_fiber () in
+  let t0 = if observed then Mm_sim.Engine.now () else 0 in
   let c =
     match t.cfg.Config.protocol with
     | Config.Rw -> rw_lock t ~lo ~hi
     | Config.Adv -> adv_lock t ~lo ~hi
   in
-  if tracing then begin
+  if observed then begin
     let span = Mm_sim.Engine.now () - t0 in
     Mm_obs.Metrics.observe
       (Mm_obs.Metrics.histogram "cursor.lock_cycles")
       span;
     Mm_sim.Engine.obs
       (Mm_obs.Event.Cursor_lock
-         { lo; hi; locked = List.length c.locked; span })
+         { asp = t.id; lo; hi; locked = List.length c.locked; span })
   end;
-  if Mm_sim.Monitor.on () && Mm_sim.Engine.in_fiber () then
-    Mm_sim.Monitor.emit
-      (Mm_sim.Monitor.Txn_locked
-         { asp = t.id; cpu = Mm_sim.Engine.cpu_id (); lo; hi });
   c
 
 (* -- Commit (RCursor Drop, Fig 4 L23) -- *)
@@ -380,17 +376,22 @@ let commit c =
   if c.committed then invalid_arg "Addr_space.commit: cursor already dropped";
   c.committed <- true;
   let t = c.asp in
-  (* Announced before the unlocks: releasing a contended lock yields to
-     the scheduler ([serialize] inside the lock model), so a fiber
-     waiting on this range can acquire it — and emit its Txn_locked —
-     while we are still mid-release. The transaction performs no cursor
-     operations after this point, so ending its monitored lifetime here
-     keeps the overlap check sound without false positives on legal
-     handoffs. *)
-  if Mm_sim.Monitor.on () && Mm_sim.Engine.in_fiber () then
-    Mm_sim.Monitor.emit
-      (Mm_sim.Monitor.Txn_committed
-         { asp = t.id; cpu = Mm_sim.Engine.cpu_id (); lo = c.lo; hi = c.hi });
+  (* Announced before the shootdown and the unlocks: releasing a
+     contended lock yields to the scheduler ([serialize] inside the lock
+     model), so a fiber waiting on this range can acquire it — and emit
+     its Cursor_lock — while we are still mid-release. The transaction
+     performs no cursor operations after this point, so ending its
+     observed lifetime here keeps the overlap check sound without false
+     positives on legal handoffs. *)
+  if Mm_obs.Bus.on () && Mm_sim.Engine.in_fiber () then
+    Mm_sim.Engine.obs
+      (Mm_obs.Event.Cursor_commit
+         {
+           asp = t.id;
+           lo = c.lo;
+           hi = c.hi;
+           flushed = List.fold_left (fun a (_, n) -> a + n) 0 c.tlb_pending;
+         });
   (* Frames unmapped under a deferring TLB policy are released only once
      the shootdown that invalidates their translations has actually
      flushed — [Tlb.shootdown]'s [on_flush] hook (async unmap). The
@@ -402,9 +403,9 @@ let commit c =
     List.iter
       (fun (frame : Mm_phys.Frame.t) ->
         charge Mm_sim.Cost.page_free;
-        if Mm_sim.Monitor.on () then
-          Mm_sim.Monitor.emit
-            (Mm_sim.Monitor.Frame_freed
+        if Mm_obs.Bus.on () then
+          Mm_sim.Engine.obs
+            (Mm_obs.Event.Frame_freed
                {
                  pfn = frame.Mm_phys.Frame.pfn;
                  pages = 1 lsl frame.Mm_phys.Frame.order;
@@ -454,15 +455,7 @@ let commit c =
     List.iter
       (fun (n : node) ->
         Mm_sim.Rwlock_s.read_unlock n.Pt.frame.Mm_phys.Frame.rwlock)
-      (List.rev c.read_path));
-  if Mm_obs.Trace.on () then
-    Mm_sim.Engine.obs
-      (Mm_obs.Event.Cursor_commit
-         {
-           lo = c.lo;
-           hi = c.hi;
-           flushed = List.fold_left (fun a (_, n) -> a + n) 0 c.tlb_pending;
-         })
+      (List.rev c.read_path))
 
 let with_lock t ~lo ~hi f =
   let c = lock t ~lo ~hi in
@@ -585,7 +578,7 @@ let free_child c (parent : node) idx (child : node) =
   let detached = Pt.detach_child t.pt parent idx in
   assert (detached == child);
   let nodes = subtree_nodes t child in
-  if Mm_obs.Trace.on () then begin
+  if Mm_obs.Bus.on () then begin
     Mm_obs.Metrics.add
       (Mm_obs.Metrics.counter "addr_space.pt_pages_freed")
       (List.length nodes);
@@ -662,9 +655,9 @@ let free_or_defer c (frame : Mm_phys.Frame.t) =
   let t = c.asp in
   if Mm_tlb.Tlb.deferring t.tlb then begin
     c.deferred_frames <- frame :: c.deferred_frames;
-    if Mm_sim.Monitor.on () then
-      Mm_sim.Monitor.emit
-        (Mm_sim.Monitor.Frame_deferred
+    if Mm_obs.Bus.on () then
+      Mm_sim.Engine.obs
+        (Mm_obs.Event.Frame_deferred
            {
              pfn = frame.Mm_phys.Frame.pfn;
              pages = 1 lsl frame.Mm_phys.Frame.order;
@@ -724,7 +717,7 @@ let split_huge c (node : node) idx (l : Pte.t) =
   let t = c.asp in
   match l with
   | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
-    if Mm_obs.Trace.on () then begin
+    if Mm_obs.Bus.on () then begin
       Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "addr_space.pt_splits");
       Mm_sim.Engine.obs
         (Mm_obs.Event.Pt_split

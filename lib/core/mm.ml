@@ -160,8 +160,8 @@ let madvise_dontneed asp ~addr ~len =
 
 let page_fault asp ~vaddr ~write =
   charge Mm_sim.Cost.trap;
-  let tracing = Mm_obs.Trace.on () && Mm_sim.Engine.in_fiber () in
-  let t0 = if tracing then Mm_sim.Engine.now () else 0 in
+  let observed = Mm_obs.Bus.on () && Mm_sim.Engine.in_fiber () in
+  let t0 = if observed then Mm_sim.Engine.now () else 0 in
   let kernel = Addr_space.kernel asp in
   let phys = kernel.Kernel.phys in
   let ps = Addr_space.page_size asp in
@@ -288,7 +288,7 @@ let page_fault asp ~vaddr ~write =
           Handled
         end)
   in
-  if tracing then begin
+  if observed then begin
     let span = Mm_sim.Engine.now () - t0 in
     Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "fault.cycles") span;
     Mm_sim.Engine.obs (Mm_obs.Event.Page_fault { vaddr = page; write; span })
@@ -488,10 +488,14 @@ let swap_out asp ~vaddr ~dev =
             in
             match apager.Pager.put_pages [ (0, contents) ] with
             | [ block ] ->
+              (* Announced while the frame is still mapped: under a
+                 deferring TLB policy the unmap parks its free behind
+                 the commit's shootdown, and a reclaim of a frame
+                 already pending there is what the checker flags. *)
+              if Mm_obs.Bus.on () then
+                Mm_sim.Engine.obs (Mm_obs.Event.Reclaim_page { pfn });
               Addr_space.unmap c ~lo:page ~hi:(page + ps);
               Addr_space.set_swapped c ~vaddr:page ~dev ~block ~perm;
-              if Mm_sim.Monitor.on () then
-                Mm_sim.Monitor.emit (Mm_sim.Monitor.Reclaim_page { pfn });
               true
             | _ -> false
           end
@@ -571,8 +575,8 @@ let mlock_r asp ~addr ~len =
                   f.Mm_phys.Frame.wired <- true;
                   kernel.Kernel.wired_pages <-
                     kernel.Kernel.wired_pages + 1;
-                  if Mm_sim.Monitor.on () then
-                    Mm_sim.Monitor.emit (Mm_sim.Monitor.Page_wired { pfn })
+                  if Mm_obs.Bus.on () then
+                    Mm_sim.Engine.obs (Mm_obs.Event.Page_wired { pfn })
                 end
               | _ -> ()
             done);
@@ -598,8 +602,8 @@ let munlock_r asp ~addr ~len =
             if f.Mm_phys.Frame.wired then begin
               f.Mm_phys.Frame.wired <- false;
               kernel.Kernel.wired_pages <- kernel.Kernel.wired_pages - 1;
-              if Mm_sim.Monitor.on () then
-                Mm_sim.Monitor.emit (Mm_sim.Monitor.Page_unwired { pfn })
+              if Mm_obs.Bus.on () then
+                Mm_sim.Engine.obs (Mm_obs.Event.Page_unwired { pfn })
             end
           | _ -> ()
         done);

@@ -1,11 +1,12 @@
 (* The global page-out daemon: one reclaimer over *every* registered
-   backing store, generalizing {!Swapd}'s per-address-space clock scan.
+   backing store.
 
-   Registered address spaces contribute anonymous pages (second-chance
-   clock scan, swapped to the daemon's swap partition through the
-   anonymous pager); registered files contribute page-cache pages
-   (unmapped from every mapper via the shared {!Pager.Mapper_set} rmap,
-   written back if modified, then dropped through the file pager).
+   Registered address spaces contribute anonymous pages (a kswapd-style
+   second-chance clock scan over the hardware accessed bits, swapped to
+   the daemon's swap partition through the anonymous pager); registered
+   files contribute page-cache pages (unmapped from every mapper via the
+   shared {!Pager.Mapper_set} rmap, written back if modified, then
+   dropped through the file pager).
 
    Pressure is simulated: watermarks are defined over the machine's
    resident data frames ({!Mm_phys.Phys.data_frames}). [balance] is the
@@ -16,25 +17,22 @@
    to pre-daemon worlds.
 
    Correctness properties (checked by [Mm_verif.Live] via the Reclaim_*
-   monitor events): wired (mlock'd) pages are never taken; dirty pages
+   bus events): wired (mlock'd) pages are never taken; dirty pages
    are written back before their cache frame is dropped; every unmap
    happens inside a transaction, so the TLB shootdown commits before the
    frame can be reused. *)
 
+module Pt = Mm_pt.Pt
+module Pte = Mm_hal.Pte
+
 type stats = {
-  swap : Swapd.stats; (* the clock scan's scanned/second_chances/swapped *)
+  mutable scanned : int;
+  mutable second_chances : int;
+  mutable swapped : int;
   mutable file_written_back : int;
   mutable file_dropped : int;
   mutable wakeups : int;
 }
-
-let fresh_stats () =
-  {
-    swap = Swapd.fresh_stats ();
-    file_written_back = 0;
-    file_dropped = 0;
-    wakeups = 0;
-  }
 
 type t = {
   kernel : Kernel.t;
@@ -47,7 +45,11 @@ type t = {
 }
 
 let create ?(low = 0) ?(high = max_int) kernel ~dev () =
-  { kernel; dev; low; high; spaces = []; files = []; stats = fresh_stats () }
+  let stats =
+    { scanned = 0; second_chances = 0; swapped = 0; file_written_back = 0;
+      file_dropped = 0; wakeups = 0 }
+  in
+  { kernel; dev; low; high; spaces = []; files = []; stats }
 
 let set_watermarks t ~low ~high =
   if low > high then invalid_arg "Pageoutd.set_watermarks";
@@ -67,8 +69,6 @@ let unregister_space t asp =
 let register_file t file =
   if not (List.exists (fun f -> f == file) t.files) then
     t.files <- t.files @ [ file ]
-
-let emit ev = if Mm_sim.Monitor.on () then Mm_sim.Monitor.emit ev
 
 let space_of t asp_id =
   List.find_opt (fun a -> Addr_space.id a = asp_id) t.spaces
@@ -125,7 +125,9 @@ let reclaim_file_pages t file ~target =
                      [ (page_index, f.Mm_phys.Frame.contents) ]);
                 t.stats.file_written_back <- t.stats.file_written_back + 1
               end;
-              emit (Mm_sim.Monitor.Reclaim_page { pfn = f.Mm_phys.Frame.pfn });
+              if Mm_obs.Bus.on () then
+                Mm_sim.Engine.obs
+                  (Mm_obs.Event.Reclaim_page { pfn = f.Mm_phys.Frame.pfn });
               File.drop_page file phys ~page_index;
               incr dropped;
               t.stats.file_dropped <- t.stats.file_dropped + 1
@@ -133,6 +135,89 @@ let reclaim_file_pages t file ~target =
           end)
     (File.cached_page_indexes file);
   !dropped
+
+(* -- Anonymous reclaim: the clock scan --
+
+   Each pass scans the present 4 KiB anonymous leaves of one address
+   space: a page whose accessed bit is set gets a second chance (the bit
+   is cleared, as kswapd's clock hand does); a cold page (bit already
+   clear) is swapped out through the transactional interface. Hot pages
+   that are touched between passes have their bit set again by the MMU
+   walk, so they survive; cold pages go to disk and fault back in
+   transparently. *)
+
+(* Account a pass in the daemon's stats and, mirrored, in the metrics
+   registry so reclaim activity shows up in [--report]/[--json] like
+   every other subsystem. The names stay [swapd.*] because perfbench
+   reads them. *)
+let note_pass t ~scanned ~second_chances ~swapped =
+  let s = t.stats in
+  s.scanned <- s.scanned + scanned;
+  s.second_chances <- s.second_chances + second_chances;
+  s.swapped <- s.swapped + swapped;
+  if Mm_obs.Bus.on () then begin
+    Mm_obs.Metrics.add (Mm_obs.Metrics.counter "swapd.scanned") scanned;
+    Mm_obs.Metrics.add
+      (Mm_obs.Metrics.counter "swapd.second_chances")
+      second_chances;
+    Mm_obs.Metrics.add (Mm_obs.Metrics.counter "swapd.swapped") swapped
+  end
+
+(* One clock pass over [asp]: reclaim up to [target] pages. Candidate
+   discovery walks the page table lock-free (a streaming scan, like
+   kswapd's LRU walk); re-validation and the reclaim of each page happen
+   in its own [Mm.swap_out] transaction, so faults proceed concurrently
+   with the scan. *)
+let scan_space t asp ~target =
+  let pt = Addr_space.pt asp in
+  let ps = Addr_space.page_size asp in
+  let cold = ref [] in
+  let hot = ref [] in
+  Pt.iter_leaves pt (Pt.root pt) (fun vaddr level pte ->
+      if level = 1 then
+        match pte with
+        | Pte.Leaf { perm; accessed; _ } when not perm.Mm_hal.Perm.cow ->
+          if accessed then hot := vaddr :: !hot else cold := vaddr :: !cold
+        | Pte.Leaf _ | Pte.Absent | Pte.Table _ -> ());
+  (* Second chance: strip the accessed bits of hot pages so they must be
+     re-touched to survive the next pass. The stripped pages' TLB entries
+     must be flushed — a TLB hit bypasses the page walk and would never
+     set the bit again (this is why kswapd batches a flush after clearing
+     reference bits). *)
+  let stripped = ref [] in
+  List.iter
+    (fun vaddr ->
+      let node = Pt.walk_opt pt ~to_level:1 vaddr in
+      if node.Pt.level = 1 then begin
+        let idx = Pt.index pt ~level:1 ~vaddr in
+        match Pt.get pt node idx with
+        | Pte.Leaf { accessed = true; _ } ->
+          if Pt.clear_accessed pt node idx then
+            stripped := (vaddr / ps) :: !stripped
+        | Pte.Leaf _ | Pte.Absent | Pte.Table _ -> ()
+      end)
+    !hot;
+  (if !stripped <> [] && Mm_sim.Engine.in_fiber () then
+     let ncpus = (Addr_space.kernel asp).Kernel.ncpus in
+     let tlb = Addr_space.tlb asp in
+     if List.length !stripped > 64 then
+       Mm_tlb.Tlb.shootdown_full tlb ~targets:(Array.make ncpus true)
+     else
+       Mm_tlb.Tlb.shootdown tlb ~targets:(Array.make ncpus true)
+         ~vpns:!stripped);
+  (* Reclaim cold pages until the target is met. *)
+  let swapped = ref 0 in
+  List.iter
+    (fun vaddr ->
+      if !swapped < target && Mm.swap_out asp ~vaddr ~dev:t.dev then
+        incr swapped)
+    (List.rev !cold);
+  note_pass t
+    ~scanned:(List.length !hot + List.length !cold)
+    ~second_chances:(List.length !hot) ~swapped:!swapped;
+  !swapped
+
+let age t = List.iter (fun asp -> ignore (scan_space t asp ~target:0)) t.spaces
 
 (* One full pass: page cache first (cheap, Linux-style preference), then
    the anonymous clock scan per registered space. *)
@@ -146,16 +231,9 @@ let run_once t ~target =
   List.iter
     (fun asp ->
       if !got < target then
-        got :=
-          !got
-          + Swapd.run_once ~stats:t.stats.swap asp ~dev:t.dev
-              ~target:(target - !got))
+        got := !got + scan_space t asp ~target:(target - !got))
     t.spaces;
   !got
-
-let note_wakeup () =
-  if Mm_obs.Trace.on () then
-    Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "pageoutd.wakeups")
 
 (* Forced reclaim of [target_pages] pages (or until two full passes make
    no progress — everything left is hot, wired, or unknown). *)
@@ -163,13 +241,15 @@ let pressure t ~target_pages =
   if target_pages <= 0 then 0
   else begin
     t.stats.wakeups <- t.stats.wakeups + 1;
-    note_wakeup ();
-    emit
-      (Mm_sim.Monitor.Reclaim_waken
-         {
-           free = Mm_phys.Phys.data_frames t.kernel.Kernel.phys;
-           target = target_pages;
-         });
+    if Mm_obs.Bus.on () then begin
+      Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "pageoutd.wakeups");
+      Mm_sim.Engine.obs
+        (Mm_obs.Event.Reclaim_waken
+           {
+             free = Mm_phys.Phys.data_frames t.kernel.Kernel.phys;
+             target = target_pages;
+           })
+    end;
     let rec go total dry =
       if total >= target_pages || dry >= 2 then total
       else

@@ -20,9 +20,9 @@
    both sides and faults still key off the PTE's COW bit, so all
    simulated costs, TLB traffic and virtual-time behaviour are identical
    to the pre-object-layer code. Object maintenance charges nothing and
-   never parks; monitored and unmonitored runs stay bit-identical
-   (transitions announce themselves through {!Mm_sim.Monitor} only when
-   a checker is installed). *)
+   never parks; observed and unobserved runs stay bit-identical
+   (transitions announce themselves on {!Mm_obs.Bus} only while
+   something is subscribed). *)
 
 type t = {
   id : int;
@@ -35,7 +35,7 @@ type t = {
   mutable dead : bool;
 }
 
-(* Object ids appear in monitor/report text: domain-local, reset per
+(* Object ids appear in event/report text: domain-local, reset per
    parallel task ([Mm_workloads.Runner.reset_world_state]) so they are
    independent of what ran before on the same domain. *)
 let next_id_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
@@ -50,7 +50,7 @@ let page_slots o = Hashtbl.length o.pages
 
 let rec depth o = match o.parent with None -> 1 | Some p -> 1 + depth p
 
-let emit ev = if Mm_sim.Monitor.on () then Mm_sim.Monitor.emit ev
+let emit ev = if Mm_obs.Bus.on () then Mm_sim.Engine.obs ev
 
 let make ~parent =
   let next_id = next_id () in
@@ -66,7 +66,7 @@ let make ~parent =
     }
   in
   emit
-    (Mm_sim.Monitor.Obj_created
+    (Mm_obs.Event.Obj_created
        {
          obj = o.id;
          parent = (match parent with None -> -1 | Some p -> p.id);
@@ -82,13 +82,13 @@ let shadow base =
   let s = make ~parent:(Some base) in
   base.refs <- base.refs + 1;
   base.children <- s :: base.children;
-  emit (Mm_sim.Monitor.Obj_ref { obj = base.id; refs = base.refs });
+  emit (Mm_obs.Event.Obj_ref { obj = base.id; refs = base.refs });
   s
 
 let ref_ o =
   if o.dead then invalid_arg "Vm_object.ref_: dead object";
   o.refs <- o.refs + 1;
-  emit (Mm_sim.Monitor.Obj_ref { obj = o.id; refs = o.refs })
+  emit (Mm_obs.Event.Obj_ref { obj = o.id; refs = o.refs })
 
 (* Collapse [o] (refs = 1, whose only referent is its single live shadow
    [s]): merge every page [s] does not already shadow, splice [s] onto
@@ -110,14 +110,14 @@ let collapse_into o s =
   o.children <- [];
   o.refs <- 0;
   o.dead <- true;
-  emit (Mm_sim.Monitor.Obj_collapsed { obj = o.id; into = s.id });
-  emit (Mm_sim.Monitor.Obj_destroyed { obj = o.id })
+  emit (Mm_obs.Event.Obj_collapsed { obj = o.id; into = s.id });
+  emit (Mm_obs.Event.Obj_destroyed { obj = o.id })
 
 let rec unref o =
   if o.dead then invalid_arg "Vm_object.unref: dead object";
   o.refs <- o.refs - 1;
   if o.refs < 0 then invalid_arg "Vm_object.unref: negative refcount";
-  emit (Mm_sim.Monitor.Obj_unref { obj = o.id; refs = o.refs });
+  emit (Mm_obs.Event.Obj_unref { obj = o.id; refs = o.refs });
   if o.refs = 0 then begin
     let p = o.parent in
     (match p with
@@ -126,7 +126,7 @@ let rec unref o =
     o.parent <- None;
     o.dead <- true;
     Hashtbl.reset o.pages;
-    emit (Mm_sim.Monitor.Obj_destroyed { obj = o.id });
+    emit (Mm_obs.Event.Obj_destroyed { obj = o.id });
     match p with None -> () | Some gp -> unref gp
   end
   else if o.refs = 1 then

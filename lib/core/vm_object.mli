@@ -12,8 +12,8 @@
 
     The object graph is bookkeeping, not mechanism: it charges no
     simulated cycles, never parks, and does not own frame lifetimes
-    (PTE map counts do). State transitions are announced through
-    {!Mm_sim.Monitor} ([Obj_*] events) for the live invariant checker. *)
+    (PTE map counts do). State transitions are announced on
+    {!Mm_obs.Bus} ([Obj_*] events) for the live invariant checker. *)
 
 type t
 

@@ -1,31 +1,32 @@
-(* The tracing session: per-vCPU event rings behind one global on/off
-   switch.
+(* The tracing session: per-vCPU event rings, subscribed to the bus for
+   the session's lifetime.
 
-   Zero-overhead-when-disabled: the only cost an instrumentation site pays
-   when no session is active is the [on ()] check — one ref dereference.
-   Nothing in this module ever advances simulated time, so enabling a
-   session changes *host* work only; virtual-time results are bit-identical
-   with tracing on, off, or compiled out.
+   Zero-overhead-when-disabled: with no subscriber the only cost an
+   instrumentation site pays is the [Bus.on ()] check. Nothing in this
+   module ever advances simulated time, so enabling a session changes
+   *host* work only; virtual-time results are bit-identical with tracing
+   on or off.
 
-   Determinism: events carry the emitting vCPU's virtual time plus a
-   global emission sequence number. The simulator schedules fibers
+   Determinism: events carry the emitting vCPU's virtual time plus the
+   bus's global emission sequence number. The simulator schedules fibers
    deterministically, so the emission order — and therefore the entire
    stream — is reproducible run-to-run. [start] resets the metrics and
-   contention registries (and the lock-id counter) so that two identical
-   runs, each preceded by [start], produce byte-identical streams. *)
+   contention registries (and the lock-id counter) and the sequence
+   number, so that two identical runs, each preceded by [start], produce
+   byte-identical streams. *)
 
 let max_cpus = 1024
 
 type session = {
   rings : Event.t Ring.t option array; (* by cpu, created lazily *)
   capacity : int; (* per-cpu ring capacity *)
-  mutable seq : int;
+  sub : Bus.subscription; (* the ring's delivery from the bus *)
 }
 
 (* Domain-local: a tracing session belongs to the domain that started
    it. Parallel drivers (lib/par) never trace — the bench driver forces
    [-j 1] under [--trace]/[--report] so one session observes the whole
-   sequential run, exactly as before. *)
+   sequential run. *)
 let current_key : session option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -33,29 +34,32 @@ let current () = Domain.DLS.get current_key
 
 let on () = !(current ()) <> None
 
+let record rings ~capacity (e : Event.t) =
+  if e.cpu >= 0 && e.cpu < max_cpus then begin
+    let ring =
+      match rings.(e.cpu) with
+      | Some r -> r
+      | None ->
+        let r = Ring.create ~capacity in
+        rings.(e.cpu) <- Some r;
+        r
+    in
+    Ring.push ring e
+  end
+
+let close () =
+  Option.iter (fun s -> Bus.unsubscribe s.sub) !(current ());
+  current () := None
+
 let start ?(capacity = 1 lsl 16) () =
   if capacity <= 0 then invalid_arg "Trace.start: capacity";
+  close ();
   Metrics.reset ();
   Contention.reset ();
-  current () := Some { rings = Array.make max_cpus None; capacity; seq = 0 }
-
-let emit ~time ~cpu payload =
-  match !(current ()) with
-  | None -> ()
-  | Some s ->
-    if cpu < 0 || cpu >= max_cpus then ()
-    else begin
-      let ring =
-        match s.rings.(cpu) with
-        | Some r -> r
-        | None ->
-          let r = Ring.create ~capacity:s.capacity in
-          s.rings.(cpu) <- Some r;
-          r
-      in
-      Ring.push ring { Event.seq = s.seq; time; cpu; payload };
-      s.seq <- s.seq + 1
-    end
+  Bus.reset_seq ();
+  let rings = Array.make max_cpus None in
+  let sub = Bus.subscribe (record rings ~capacity) in
+  current () := Some { rings; capacity; sub }
 
 let collect s =
   let all =
@@ -77,7 +81,7 @@ let dropped () =
 
 let stop () =
   let evs = events () in
-  current () := None;
+  close ();
   evs
 
 (* The canonical text stream — what the determinism guarantee is stated

@@ -1,22 +1,19 @@
-(** The tracing session: per-vCPU event rings behind one global on/off
-    switch. When no session is active an instrumentation site pays one ref
-    dereference ({!on}); recording never advances virtual time, so traced
-    and untraced runs produce bit-identical simulation results. *)
+(** The tracing session: per-vCPU event rings subscribed to the {!Bus}.
+    Recording never advances virtual time, so traced and untraced runs
+    produce bit-identical simulation results. *)
 
 val start : ?capacity:int -> unit -> unit
-(** Open a session (per-vCPU ring capacity defaults to 65536 events).
-    Resets {!Metrics} and {!Contention} — including the lock-id counter —
-    so identical runs after [start] yield byte-identical streams. *)
+(** Open a session (per-vCPU ring capacity defaults to 65536 events),
+    replacing any open one. Resets {!Metrics}, {!Contention} — including
+    the lock-id counter — and the bus sequence number, so identical runs
+    after [start] yield byte-identical streams. *)
 
 val on : unit -> bool
-(** Whether a session is active — the cheap gate every instrumentation
-    site checks first. *)
-
-val emit : time:int -> cpu:int -> Event.payload -> unit
-(** Record an event; no-op without a session. *)
+(** Whether a session is active. *)
 
 val events : unit -> Event.t list
-(** The merged stream so far, in emission order. *)
+(** The merged stream so far, in emission order. Events emitted outside
+    a fiber (cpu -1) are not recorded. *)
 
 val dropped : unit -> int
 (** Events lost to ring wraparound. *)

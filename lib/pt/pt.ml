@@ -193,6 +193,25 @@ let set_accessed t node idx =
     node.decoded.(idx) <- Isa.decode t.isa ~level:node.level raw
   | Pte.Leaf _ | Pte.Absent | Pte.Table _ -> ()
 
+(* The clock hand's reference-bit clear (Linux's
+   [ptep_test_and_clear_young]): charged like [set], then the slot is
+   re-read under the line. Taking the line is a scheduling point, so a
+   concurrent unmap or swap-out may have cleared the slot since the
+   caller read it; the bit is cleared only on a still-present leaf, never
+   by writing back a stale copy. Returns whether a set bit was cleared. *)
+let clear_accessed t node idx =
+  charge Mm_sim.Cost.pte_write;
+  write_line node.frame;
+  match node.decoded.(idx) with
+  | Pte.Leaf ({ accessed = true; _ } as l) ->
+    let raw =
+      Isa.encode t.isa ~level:node.level (Pte.Leaf { l with accessed = false })
+    in
+    node.entries.(idx) <- raw;
+    node.decoded.(idx) <- Isa.decode t.isa ~level:node.level raw;
+    true
+  | Pte.Leaf _ | Pte.Absent | Pte.Table _ -> false
+
 (* Detach the child under [idx] without freeing it (CortenMM_adv clears the
    parent entry first and RCU-defers the free, Fig 6 L30). *)
 let detach_child t node idx =
@@ -293,19 +312,25 @@ let rec iter_subtree t node f =
 
 let iter_nodes t f = iter_subtree t t.root f
 
-(* Enumerate present leaves under [node] as (vaddr, level, pte). *)
+(* Enumerate present leaves under [node] as (vaddr, level, pte). The
+   simulated cost is one streaming pass over the page; on the host the
+   scan stops after the last of the node's [present] entries. *)
 let rec iter_leaves t node f =
   charge_node_scan t;
-  let base = node_base t node in
-  let per = entry_coverage t node in
-  for idx = 0 to entries_per_node t - 1 do
-    match node.decoded.(idx) with
+  let base = node_base t node and per = entry_coverage t node in
+  let left = ref node.present and idx = ref 0 in
+  while !left > 0 do
+    (match node.decoded.(!idx) with
     | Pte.Absent -> ()
-    | Pte.Leaf _ as pte -> f (base + (idx * per)) node.level pte
+    | Pte.Leaf _ as pte ->
+      decr left;
+      f (base + (!idx * per)) node.level pte
     | Pte.Table { pfn } -> (
+      decr left;
       match node_of_pfn t pfn with
       | Some c -> iter_leaves t c f
-      | None -> failwith "Pt.iter_leaves: dangling table entry")
+      | None -> failwith "Pt.iter_leaves: dangling table entry"));
+    incr idx
   done
 
 (* -- Well-formedness (the paper's Fig 12 invariant) -- *)

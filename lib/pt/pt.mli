@@ -58,6 +58,11 @@ val set : 'm t -> 'm node -> int -> Pte.t -> unit
 val set_accessed : 'm t -> 'm node -> int -> unit
 (** Set a leaf's accessed bit, as MMU hardware does during a walk (free). *)
 
+val clear_accessed : 'm t -> 'm node -> int -> bool
+(** Clear a present leaf's accessed bit, charged like {!set}. The slot is
+    re-read after taking the line (a scheduling point), so a leaf cleared
+    concurrently is left alone. Returns whether a set bit was cleared. *)
+
 val child : 'm t -> 'm node -> int -> 'm node option
 val ensure_child : 'm t -> 'm node -> int -> 'm node
 

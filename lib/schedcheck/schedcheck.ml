@@ -4,9 +4,9 @@
    munmap / mprotect / touch over a fixed 16-page window, fork-clone,
    promote_huge over the window's 2 MiB region — executed on a world
    whose tie-break policy is controlled ({!Mm_sim.Sched}). During the
-   run a {!Mm_verif.Live} checker consumes {!Mm_sim.Monitor} events and
-   checks mutual exclusion, the transaction property (P1) and RCU grace
-   periods against the protocols as implemented. Afterwards the final
+   run a {!Mm_verif.Live} checker subscribed to {!Mm_obs.Bus} checks
+   mutual exclusion, the transaction property (P1) and RCU grace periods
+   against the protocols as implemented. Afterwards the final
    address-space state is compared page-by-page against a sequential
    reference replay of the same operations in their observed
    serialization order (P2 at the whole-run level).
@@ -24,7 +24,6 @@
 
 module Perm = Mm_hal.Perm
 module Engine = Mm_sim.Engine
-module Monitor = Mm_sim.Monitor
 module Sched = Mm_sim.Sched
 open Cortenmm
 
@@ -218,24 +217,28 @@ let run_once cfg ~sched =
       ~seed:cfg.workload_seed
   in
   set_mutant cfg.mutant;
+  let live = Mm_verif.Live.create ~ncpus:cfg.cpus in
+  (* Global commit sequence: events are emitted synchronously by the
+     committing fiber, so this numbering is the true execution order.
+     [last_commit.(cpu)] stamps the op a cpu just finished. *)
+  let commit_seq = ref 0 in
+  let last_commit = Array.make cfg.cpus 0 in
+  let sub =
+    Mm_obs.Bus.subscribe (fun ev ->
+        Mm_verif.Live.observe live ev;
+        match ev.Mm_obs.Event.payload with
+        | Mm_obs.Event.Cursor_commit _ ->
+          incr commit_seq;
+          let cpu = ev.Mm_obs.Event.cpu in
+          if cpu >= 0 && cpu < cfg.cpus then last_commit.(cpu) <- !commit_seq
+        | _ -> ())
+  in
+  let unsubscribe () = Mm_obs.Bus.unsubscribe sub in
   Fun.protect
     ~finally:(fun () ->
       set_mutant M_none;
-      Monitor.clear ())
+      unsubscribe ())
   @@ fun () ->
-  let live = Mm_verif.Live.create ~ncpus:cfg.cpus in
-  (* Global commit sequence: monitor events are emitted synchronously by
-     the committing fiber, so this numbering is the true execution
-     order. [last_commit.(cpu)] stamps the op a cpu just finished. *)
-  let commit_seq = ref 0 in
-  let last_commit = Array.make cfg.cpus 0 in
-  Monitor.set (fun ev ->
-      Mm_verif.Live.observe live ev;
-      match ev with
-      | Monitor.Txn_committed { cpu; _ } ->
-        incr commit_seq;
-        if cpu >= 0 && cpu < cfg.cpus then last_commit.(cpu) <- !commit_seq
-      | _ -> ());
   let sched = sched () in
   let w = Engine.create_sched ~sched ~ncpus:cfg.cpus in
   let kernel = Kernel.create ~ncpus:cfg.cpus () in
@@ -264,7 +267,7 @@ let run_once cfg ~sched =
   (* Live state is complete; stop observing so the reference replay and
      the probes below stay invisible to the checker. Mutants off too:
      the sequential reference must be the *correct* semantics. *)
-  Monitor.clear ();
+  unsubscribe ();
   set_mutant M_none;
   let violations = ref (List.rev !op_errors) in
   (match deadlock with

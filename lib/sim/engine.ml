@@ -263,14 +263,15 @@ let max_time w = Array.fold_left max 0 w.cpu_time
 let stats w = w.stats
 
 (* Observability bridge: stamp an event with the emitting fiber's virtual
-   time and CPU. Call sites guard with [Mm_obs.Trace.on ()] so the payload
-   is never even allocated when tracing is off; recording never touches
-   [f_time], so traced and untraced runs are bit-identical. *)
+   time and CPU (time 0, cpu -1 outside a fiber) and put it on the bus.
+   Call sites guard with [Mm_obs.Bus.on ()] so the payload is never even
+   allocated when nothing observes; emitting never touches [f_time], so
+   observed and unobserved runs are bit-identical. *)
 let obs payload =
   match !(cur_world ()) with
   | Some { current = Some f; _ } ->
-    Mm_obs.Trace.emit ~time:f.f_time ~cpu:f.f_cpu payload
-  | _ -> ()
+    Mm_obs.Bus.emit ~time:f.f_time ~cpu:f.f_cpu payload
+  | _ -> Mm_obs.Bus.emit ~time:0 ~cpu:(-1) payload
 
 (* -- Cache-line contention model -- *)
 

@@ -95,10 +95,10 @@ val serialize : unit -> unit
     synchronization primitive calls this before touching its state. *)
 
 val obs : Mm_obs.Event.payload -> unit
-(** Record a trace event stamped with the current fiber's virtual time and
-    CPU; no-op outside a fiber or without an active {!Mm_obs.Trace}
-    session. Guard call sites with [Mm_obs.Trace.on ()] so payloads are not
-    allocated when tracing is off. Never advances virtual time. *)
+(** Emit an event on {!Mm_obs.Bus}, stamped with the current fiber's
+    virtual time and CPU (time 0 and cpu -1 outside a fiber). Guard call
+    sites with [Mm_obs.Bus.on ()] so payloads are not allocated when
+    nothing is subscribed. Never advances virtual time. *)
 
 (** Cache-line contention model. *)
 module Line : sig

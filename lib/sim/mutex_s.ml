@@ -8,8 +8,8 @@
    CortenMM_adv uses this as the per-PT-page lock (paper §4.5).
 
    Observability: each lock carries a cheap integer id; profile entries and
-   trace events are produced only while a session is active ([Trace.on]),
-   and recording never advances virtual time. Wait time is the parked
+   bus events are produced only while something observes ([Bus.on]), and
+   emitting never advances virtual time. Wait time is the parked
    duration (cycles serialized behind the holder), not the line-transfer
    cost of an uncontended acquire. *)
 
@@ -48,14 +48,12 @@ let profile t =
 
 let note_acquired t ~wait =
   t.acquired_at <- Engine.now ();
-  if Mm_obs.Trace.on () then begin
+  if Mm_obs.Bus.on () then begin
     Mm_obs.Contention.acquired (profile t) ~wait;
     Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.wait_cycles") wait;
     Engine.obs
       (Mm_obs.Event.Lock_acquire { lock = t.id; kind = Mm_obs.Event.Mutex; wait })
-  end;
-  if Monitor.on () then
-    Monitor.emit (Monitor.Mutex_acquired { lock = t.id; cpu = t.holder })
+  end
 
 let lock t =
   Engine.Line.rmw t.line;
@@ -67,7 +65,7 @@ let lock t =
   end
   else begin
     t.contended <- t.contended + 1;
-    if Mm_obs.Trace.on () then
+    if Mm_obs.Bus.on () then
       Engine.obs
         (Mm_obs.Event.Lock_contend { lock = t.id; kind = Mm_obs.Event.Mutex });
     let t0 = Engine.now () in
@@ -93,15 +91,13 @@ let unlock t =
   if t.holder <> Engine.cpu_id () then
     failwith "Mutex_s.unlock: unlocked by non-holder";
   Engine.tick Cost.cache_hit;
-  if Mm_obs.Trace.on () then begin
+  if Mm_obs.Bus.on () then begin
     let held = Engine.now () - t.acquired_at in
     Mm_obs.Contention.released (profile t) ~held;
     Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.hold_cycles") held;
     Engine.obs
       (Mm_obs.Event.Lock_release { lock = t.id; kind = Mm_obs.Event.Mutex; held })
   end;
-  if Monitor.on () then
-    Monitor.emit (Monitor.Mutex_released { lock = t.id; cpu = t.holder });
   match Queue.take_opt t.waiters with
   | None ->
     t.locked <- false;

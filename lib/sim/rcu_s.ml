@@ -11,14 +11,14 @@
    waits for its own exit too. *)
 
 type callback = {
-  cb_id : int; (* monitor correlation id (Rcu_defer -> Rcu_fire) *)
+  cb_id : int; (* event correlation id (Rcu_defer -> Rcu_fire) *)
   waiting_on : bool array; (* per-CPU: still inside its read section *)
   mutable remaining : int;
   fn : unit -> unit;
 }
 
-(* Monitor correlation ids: domain-local, unique across RCU instances
-   within one monitored run. Parallel drivers reset them at task start
+(* Callback correlation ids: domain-local, unique across RCU instances
+   within one observed run. Parallel drivers reset them at task start
    ([Mm_workloads.Runner.reset_world_state]) so the ids a run reports
    do not depend on what ran before it on the same domain. *)
 let next_cb_id_key : int ref Domain.DLS.key =
@@ -64,10 +64,8 @@ let read_lock t =
   Engine.tick Cost.rcu_toggle;
   let c = Engine.cpu_id () in
   t.nesting.(c) <- t.nesting.(c) + 1;
-  if t.nesting.(c) = 1 then begin
-    if Mm_obs.Trace.on () then Engine.obs Mm_obs.Event.Rcu_enter;
-    if Monitor.on () then Monitor.emit (Monitor.Rcu_enter { cpu = c })
-  end
+  if t.nesting.(c) = 1 && Mm_obs.Bus.on () then
+    Engine.obs Mm_obs.Event.Rcu_enter
 
 let in_read_section t ~cpu = t.nesting.(cpu) > 0
 
@@ -86,7 +84,7 @@ let quiesce t cpu =
   t.pending <- rest;
   (match ready with
   | [] -> ()
-  | _ when Mm_obs.Trace.on () ->
+  | _ when Mm_obs.Bus.on () ->
     let n = List.length ready in
     Mm_obs.Metrics.add (Mm_obs.Metrics.counter "rcu.gp_callbacks") n;
     Engine.obs (Mm_obs.Event.Rcu_gp { callbacks = n })
@@ -94,7 +92,8 @@ let quiesce t cpu =
   List.iter
     (fun cb ->
       t.completed <- t.completed + 1;
-      if Monitor.on () then Monitor.emit (Monitor.Rcu_fire { cb = cb.cb_id });
+      if Mm_obs.Bus.on () then
+        Engine.obs (Mm_obs.Event.Rcu_fire { cb = cb.cb_id });
       cb.fn ())
     ready
 
@@ -105,10 +104,9 @@ let read_unlock t =
   if t.nesting.(c) <= 0 then failwith "Rcu_s.read_unlock: not in read section";
   t.nesting.(c) <- t.nesting.(c) - 1;
   if t.nesting.(c) = 0 then begin
-    if Mm_obs.Trace.on () then Engine.obs Mm_obs.Event.Rcu_exit;
     (* Exit is announced before [quiesce] so callbacks firing in this
        very quiescent state observe the reader as already gone. *)
-    if Monitor.on () then Monitor.emit (Monitor.Rcu_exit { cpu = c });
+    if Mm_obs.Bus.on () then Engine.obs Mm_obs.Event.Rcu_exit;
     quiesce t c
   end
 
@@ -129,19 +127,28 @@ let defer t fn =
   Engine.tick Cost.cache_hit;
   t.deferred <- t.deferred + 1;
   let waiting, remaining = snapshot_readers t in
-  let cb_id = if Monitor.on () then fresh_cb_id () else 0 in
-  if Monitor.on () then
-    Monitor.emit (Monitor.Rcu_defer { cb = cb_id; waiting = Array.copy waiting });
-  if remaining = 0 || !(mutant_no_grace_period ()) then begin
+  let observed = Mm_obs.Bus.on () in
+  let cb_id = if observed then fresh_cb_id () else 0 in
+  let immediate = remaining = 0 || !(mutant_no_grace_period ()) in
+  if immediate then begin
     t.immediate <- t.immediate + 1;
     t.completed <- t.completed + 1;
-    if Monitor.on () then Monitor.emit (Monitor.Rcu_fire { cb = cb_id });
     fn ()
   end
   else t.pending <- { cb_id; waiting_on = waiting; remaining; fn } :: t.pending;
-  if Mm_obs.Trace.on () then begin
+  (* Announced after an immediate callback has run: [fn] frees frames
+     without yielding, so no read-side transition can slip in between,
+     and the defer still precedes its fire in the stream. *)
+  if observed then begin
     Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "rcu.deferred");
-    Engine.obs (Mm_obs.Event.Rcu_defer { pending = List.length t.pending })
+    Engine.obs
+      (Mm_obs.Event.Rcu_defer
+         {
+           cb = cb_id;
+           waiting = Array.copy waiting;
+           pending = List.length t.pending;
+         });
+    if immediate then Engine.obs (Mm_obs.Event.Rcu_fire { cb = cb_id })
   end
 
 let synchronize t =
@@ -154,7 +161,7 @@ let synchronize t =
         else
           t.pending <-
             {
-              cb_id = (if Monitor.on () then fresh_cb_id () else 0);
+              cb_id = (if Mm_obs.Bus.on () then fresh_cb_id () else 0);
               waiting_on = waiting;
               remaining;
               fn = (fun () -> Engine.unpark p ~at:(Engine.now ()));

@@ -16,7 +16,7 @@
    CortenMM_adv (no reader-side shared writes at all).
 
    Observability mirrors {!Mutex_s}: integer id at creation, lazy profile
-   entry, events only while tracing. Wait time is the parked duration; hold
+   entry, events only while something observes. Wait time is the parked duration; hold
    time is tracked for the exclusive (writer) side only — readers overlap,
    so a per-reader hold would need per-fiber state the model doesn't keep. *)
 
@@ -68,21 +68,14 @@ let profile t =
       | None -> Printf.sprintf "rwlock#%d" t.id)
 
 let note_acquired t ~kind ~wait =
-  if Mm_obs.Trace.on () then begin
+  if Mm_obs.Bus.on () then begin
     Mm_obs.Contention.acquired (profile t) ~wait;
     Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.wait_cycles") wait;
     Engine.obs (Mm_obs.Event.Lock_acquire { lock = t.id; kind; wait })
-  end;
-  if Monitor.on () then begin
-    let cpu = Engine.cpu_id () in
-    Monitor.emit
-      (match kind with
-      | Mm_obs.Event.Rw_write -> Monitor.Write_acquired { lock = t.id; cpu }
-      | _ -> Monitor.Read_acquired { lock = t.id; cpu })
   end
 
 let note_contend t ~kind =
-  if Mm_obs.Trace.on () then
+  if Mm_obs.Bus.on () then
     Engine.obs (Mm_obs.Event.Lock_contend { lock = t.id; kind })
 
 let reader_entry_cost t =
@@ -128,13 +121,10 @@ let read_unlock t =
   if t.readers <= 0 then failwith "Rwlock_s.read_unlock: no readers";
   reader_entry_cost t;
   t.readers <- t.readers - 1;
-  if Mm_obs.Trace.on () then
+  if Mm_obs.Bus.on () then
     Engine.obs
       (Mm_obs.Event.Lock_release
          { lock = t.id; kind = Mm_obs.Event.Rw_read; held = 0 });
-  if Monitor.on () then
-    Monitor.emit
-      (Monitor.Read_released { lock = t.id; cpu = Engine.cpu_id () });
   if t.readers = 0 && not t.writer then wake_next_writer t
 
 let write_lock t =
@@ -176,7 +166,7 @@ let wake_reader_phase t =
   Queue.clear t.rwait
 
 let note_writer_release t =
-  if Mm_obs.Trace.on () then begin
+  if Mm_obs.Bus.on () then begin
     let held = Engine.now () - t.writer_since in
     Mm_obs.Contention.released (profile t) ~held;
     Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.hold_cycles") held;
@@ -209,9 +199,6 @@ let write_unlock t =
   note_writer_release t;
   t.writer <- false;
   t.writer_cpu <- -1;
-  if Monitor.on () then
-    Monitor.emit
-      (Monitor.Write_released { lock = t.id; cpu = Engine.cpu_id () });
   if not (Queue.is_empty t.rwait) then wake_reader_phase t
   else if not !(mutant_skip_writer_handoff ()) then wake_next_writer t
 
@@ -225,11 +212,8 @@ let downgrade t =
   t.writer <- false;
   t.writer_cpu <- -1;
   t.readers <- t.readers + 1;
-  if Monitor.on () then begin
-    let cpu = Engine.cpu_id () in
-    Monitor.emit (Monitor.Write_released { lock = t.id; cpu });
-    Monitor.emit (Monitor.Read_acquired { lock = t.id; cpu })
-  end;
+  if Mm_obs.Bus.on () then
+    Engine.obs (Mm_obs.Event.Lock_downgrade { lock = t.id });
   (* Phase-fair: the waiting reader phase joins us. *)
   if not (Queue.is_empty t.rwait) then wake_reader_phase t
 

@@ -201,13 +201,13 @@ let flush_batch t =
       (fun r ->
         let stall = max 0 (now - r.be_enqueued) in
         if stall > t.counters.worst_stall then t.counters.worst_stall <- stall;
-        if Mm_obs.Trace.on () then
+        if Mm_obs.Bus.on () then
           Mm_obs.Metrics.observe
             (Mm_obs.Metrics.histogram "tlb.batch_stall_cycles")
             stall;
         match r.be_on_flush with Some f -> f () | None -> ())
       records;
-    if Mm_obs.Trace.on () then
+    if Mm_obs.Bus.on () then
       Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "tlb.batch_flushes")
   end
 
@@ -250,7 +250,7 @@ let shootdown ?on_flush t ~targets ~vpns =
         true
       end
   in
-  if Mm_obs.Trace.on () then begin
+  if Mm_obs.Bus.on () then begin
     let nremote = List.length remote in
     let ipis =
       match t.strategy with
@@ -287,7 +287,7 @@ let shootdown_full t ~targets =
     charge
       ((Mm_sim.Cost.ipi_send * List.length remote) + Mm_sim.Cost.ipi_ack_wait)
   end;
-  if Mm_obs.Trace.on () then begin
+  if Mm_obs.Bus.on () then begin
     let nremote = List.length remote in
     Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "tlb.shootdowns");
     Mm_obs.Metrics.observe
@@ -307,7 +307,7 @@ let timer_tick t ~cpu =
     Queue.iter (fun vpn -> Hashtbl.remove t.entries.(cpu) vpn) q;
     Queue.clear q;
     t.counters.latr_drained <- t.counters.latr_drained + n;
-    if Mm_obs.Trace.on () then begin
+    if Mm_obs.Bus.on () then begin
       Mm_obs.Metrics.add (Mm_obs.Metrics.counter "tlb.latr_drained") n;
       Mm_sim.Engine.obs (Mm_obs.Event.Tlb_latr_drain { entries = n })
     end

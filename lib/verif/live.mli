@@ -1,7 +1,7 @@
 (** Runtime invariant checker over live engine state.
 
-    Consumes {!Mm_sim.Monitor} events and checks, against the protocols
-    *as implemented*, the safety properties the model checkers
+    Subscribes to the {!Mm_obs.Bus} event stream and checks, against the
+    protocols *as implemented*, the safety properties the model checkers
     ({!Rw_model}, {!Adv_model}) verify on abstractions: per-lock mutual
     exclusion, rwlock writer exclusion and reader counting, the
     transaction property (no two active cursor transactions over
@@ -16,9 +16,9 @@
     Typical use:
     {[
       let live = Live.create ~ncpus in
-      Mm_sim.Monitor.set (Live.observe live);
+      let sub = Mm_obs.Bus.subscribe (Live.observe live) in
       (* ... run the workload ... *)
-      Mm_sim.Monitor.clear ();
+      Mm_obs.Bus.unsubscribe sub;
       Live.check_quiescent live;
       match Live.violations live with [] -> () | vs -> report vs
     ]} *)
@@ -27,9 +27,9 @@ type t
 
 val create : ncpus:int -> t
 
-val observe : t -> Mm_sim.Monitor.event -> unit
-(** Feed one monitor event. Install with
-    [Mm_sim.Monitor.set (observe t)]. *)
+val observe : t -> Mm_obs.Event.t -> unit
+(** Feed one event; the acting CPU is its [cpu] stamp. Install with
+    [Mm_obs.Bus.subscribe (observe t)]. *)
 
 val check_quiescent : t -> unit
 (** Call after the run: records violations for locks still held and
@@ -41,5 +41,5 @@ val violations : t -> string list
 val ok : t -> bool
 
 val events_seen : t -> int
-(** Number of monitor events consumed (sanity check that
+(** Number of events consumed (sanity check that
     instrumentation was live). *)

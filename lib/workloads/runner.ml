@@ -83,9 +83,9 @@ let result ~ops ~cycles =
    ([Mm_obs.Trace.on ()]), the metrics/contention registries are left
    alone — [--trace]/[--report] force [-j 1] precisely so one session
    can accumulate across the whole run, and the session owns those
-   registries (it reset them at [Trace.start]). *)
+   registries (it reset them at [Trace.start]). Bus subscribers are left
+   alone too: whoever subscribed owns the subscription. *)
 let reset_world_state () =
-  Mm_sim.Monitor.clear ();
   Mm_sim.Rcu_s.reset_ids ();
   Mm_sim.Rcu_s.set_mutant_no_grace_period false;
   Mm_sim.Rwlock_s.set_mutant_skip_writer_handoff false;
@@ -122,10 +122,10 @@ let run_phases ?(setup = fun () -> ()) ?(prep = fun _ -> ()) ~ncpus ~measure ()
         prep cpu;
         Barrier.wait b2;
         start.(cpu) <- Engine.now ();
-        if Mm_obs.Trace.on () then
+        if Mm_obs.Bus.on () then
           Engine.obs (Mm_obs.Event.Span_begin { name = "measure" });
         measure cpu;
-        if Mm_obs.Trace.on () then
+        if Mm_obs.Bus.on () then
           Engine.obs (Mm_obs.Event.Span_end { name = "measure" });
         finish.(cpu) <- Engine.now ())
   done;

@@ -49,8 +49,9 @@ let test_ring_wraparound () =
 
 let test_trace_off_is_noop () =
   check Alcotest.bool "off" false (Trace.on ());
-  (* Emitting without a session must be a silent no-op. *)
-  Trace.emit ~time:0 ~cpu:0 Event.Rcu_enter;
+  check Alcotest.bool "no subscriber" false (Mm_obs.Bus.on ());
+  (* Emitting without a subscriber must be a silent no-op. *)
+  Mm_obs.Bus.emit ~time:0 ~cpu:0 Event.Rcu_enter;
   check Alcotest.int "nothing recorded" 0 (List.length (Trace.events ()))
 
 let run_micro () =
@@ -220,6 +221,127 @@ let test_engine_stats_consistency () =
   check Alcotest.bool "high-water bounded by fibers" true
     (s.Engine.max_ready_queue <= 4)
 
+(* -- One bus, two subscribers --
+
+   The trace ring and any other subscriber (the live checker) see one
+   history: every event the ring recorded, in the same order, with the
+   same stamps. Events emitted outside a fiber (cpu -1) reach the other
+   subscriber only. *)
+
+let test_subscribers_share_history () =
+  let seen = ref [] in
+  let sub = Mm_obs.Bus.subscribe (fun e -> seen := e :: !seen) in
+  Trace.start ~capacity:(1 lsl 18) ();
+  ignore (run_micro ());
+  let ring = Trace.stop () in
+  Mm_obs.Bus.unsubscribe sub;
+  check Alcotest.bool "off again" false (Mm_obs.Bus.on ());
+  let in_fiber = List.filter (fun e -> e.Event.cpu >= 0) (List.rev !seen) in
+  check Alcotest.bool "events recorded" true (ring <> []);
+  check Alcotest.string "same history" (Trace.to_text ring)
+    (Trace.to_text in_fiber)
+
+(* -- Trace-text compatibility --
+
+   The merged stream adds kinds (frame, object, reclaim, lock downgrade,
+   RCU fire) but leaves the 18 kinds of the pre-merge trace untouched.
+   Filtered to those kinds and renumbered, a fixed traced run must match
+   the digest the pre-merge tracer recorded for the same run. The one
+   deliberate move: [Cursor_commit] is now announced where the live
+   checker needs it — before the commit's shootdown and unlocks — so its
+   stamps and position differ; its payloads must still match as a
+   multiset. *)
+
+let pre_merge_kinds =
+  [ "lock-acquire"; "lock-release"; "lock-contend"; "rcu-enter"; "rcu-exit";
+    "rcu-defer"; "rcu-gp"; "tlb-shootdown"; "tlb-latr-drain"; "pt-split";
+    "pt-free"; "cursor-lock"; "cursor-commit"; "stale-retry"; "page-fault";
+    "span-begin"; "span-end"; "counter" ]
+
+(* Adv and rw PT-page churn under concurrent touchers (rcu-defer, rcu-gp,
+   pt-free, stale-retry), then a small serve matrix (faults, shootdowns,
+   linux's rwlock downgrade). *)
+let compat_run () =
+  let churn cfg =
+    let ps = 4096 and base = 0x4000_0000 and pages = 1024 and ncpus = 4 in
+    let len = pages * ps in
+    let asp_box = ref None in
+    ignore
+      (Runner.run_phases ~ncpus
+         ~setup:(fun () ->
+           let kernel = Cortenmm.Kernel.create ~ncpus () in
+           let asp = Cortenmm.Addr_space.create kernel cfg in
+           ignore (Mm_compat.mmap asp ~addr:base ~len ~perm:Mm_hal.Perm.rw ());
+           asp_box := Some asp)
+         ~measure:(fun cpu ->
+           let asp = Option.get !asp_box in
+           if cpu = 0 then
+             for _ = 1 to 4 do
+               Mm_compat.munmap asp ~addr:base ~len;
+               ignore
+                 (Mm_compat.mmap asp ~addr:base ~len ~perm:Mm_hal.Perm.rw ())
+             done
+           else
+             for i = 1 to 40 do
+               let v = base + ((cpu * 37) + i) mod pages * ps in
+               try Cortenmm.Mm.touch asp ~vaddr:v ~write:true
+               with Cortenmm.Mm.Fault _ -> ()
+             done)
+         ())
+  in
+  Trace.start ~capacity:(1 lsl 18) ();
+  churn Cortenmm.Config.adv;
+  churn Cortenmm.Config.rw;
+  let systems =
+    List.map
+      (fun n -> Result.get_ok (System.Registry.find n))
+      [ "cortenmm-adv"; "cortenmm-rw"; "linux" ]
+  in
+  ignore
+    (Mm_serve.Serve.run_matrix ~systems ~mix:Mm_serve.Mix.mixed
+       ~policies:Mm_serve.Serve.policies ~ncpus:4 ~sessions:40 ~seed:42 ());
+  let dropped = Trace.dropped () in
+  (dropped, Trace.stop ())
+
+let test_trace_text_compat () =
+  let dropped, events = compat_run () in
+  check Alcotest.int "no ring overflow" 0 dropped;
+  let kind e = Event.name e.Event.payload in
+  let kept =
+    List.filter
+      (fun e -> List.mem (kind e) pre_merge_kinds && kind e <> "cursor-commit")
+      events
+    |> List.mapi (fun i e -> { e with Event.seq = i })
+  in
+  check Alcotest.int "pre-merge events" 29828 (List.length kept);
+  check Alcotest.string "pre-merge text digest"
+    "961ba3263aae85c3ee1d1ce5a573d370"
+    (Digest.to_hex (Digest.string (Trace.to_text kept)));
+  let commits =
+    List.filter_map
+      (fun e ->
+        if kind e = "cursor-commit" then
+          Some
+            (Printf.sprintf "cpu%d %s" e.Event.cpu
+               (String.concat " "
+                  (List.map
+                     (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+                     (Event.payload_args e.Event.payload))))
+        else None)
+      events
+    |> List.sort compare
+  in
+  check Alcotest.int "cursor commits" 2602 (List.length commits);
+  check Alcotest.string "cursor-commit payload digest"
+    "2bb1120a9660ff5940c24b155b19ca8b"
+    (Digest.to_hex (Digest.string (String.concat "\n" commits)));
+  (* The ring now carries what only the live checker used to see. *)
+  List.iter
+    (fun k ->
+      check Alcotest.bool (k ^ " recorded") true
+        (List.exists (fun e -> kind e = k) events))
+    [ "frame-allocated"; "obj-created"; "rcu-fire"; "lock-downgrade" ]
+
 (* -- Stale-retry agreement (adv protocol, Fig 6 L10-13) -- *)
 
 let test_stale_retries_agree () =
@@ -341,6 +463,10 @@ let () =
           Alcotest.test_case "determinism" `Quick test_trace_determinism;
           Alcotest.test_case "zero perturbation" `Quick
             test_tracing_does_not_perturb;
+          Alcotest.test_case "subscribers share one history" `Quick
+            test_subscribers_share_history;
+          Alcotest.test_case "pre-merge text compatible" `Quick
+            test_trace_text_compat;
         ] );
       ( "export",
         [

@@ -197,6 +197,49 @@ let test_oracle_batched_consistent () =
   | Ok n -> check Alcotest.bool "checked some ops" true (n > 0)
   | Error d -> Alcotest.failf "batched world diverged: %s" (Diff.describe d)
 
+(* -- Reclaim storm under the live checker --
+
+   The page-out daemon's clock scan races munmap and swap-out on every
+   CPU. Each (system, policy) cell runs in a fresh world with a fresh
+   [Live] checker subscribed to the event bus: every session must
+   complete, and no lock, transaction, RCU, deferred-free or reclaim
+   invariant may break. (A clock hand that wrote back a stale copy of a
+   leaf resurrected unmapped PTEs here.) *)
+
+let test_reclaim_storm_live () =
+  let ncpus = 4 and sessions = 3000 in
+  List.iter
+    (fun system ->
+      let e = Result.get_ok (System.Registry.find system) in
+      List.iter
+        (fun ((policy_name, _) as policy) ->
+          let cell = Printf.sprintf "%s/%s" system policy_name in
+          let live = Mm_verif.Live.create ~ncpus in
+          let sub = Mm_obs.Bus.subscribe (Mm_verif.Live.observe live) in
+          let reports =
+            Fun.protect ~finally:(fun () -> Mm_obs.Bus.unsubscribe sub)
+            @@ fun () ->
+            try
+              Serve.run_matrix ~systems:[ e ] ~mix:Mix.reclaim_storm
+                ~policies:[ policy ] ~ncpus ~sessions ~seed:42 ()
+            with exn ->
+              Alcotest.failf "%s raised %s" cell (Printexc.to_string exn)
+          in
+          Mm_verif.Live.check_quiescent live;
+          (match reports with
+          | [ r ] ->
+            check Alcotest.int (cell ^ ": every session completes") sessions
+              r.Serve.r_session.Serve.s_count
+          | _ -> Alcotest.failf "%s: expected one report" cell);
+          check Alcotest.bool (cell ^ ": events observed") true
+            (Mm_verif.Live.events_seen live > 0);
+          check
+            Alcotest.(list string)
+            (cell ^ ": no live violation") []
+            (Mm_verif.Live.violations live))
+        Serve.policies)
+    [ "cortenmm-rw"; "cortenmm-adv" ]
+
 let () =
   Alcotest.run "mm_serve"
     [
@@ -231,5 +274,10 @@ let () =
         [
           Alcotest.test_case "batched world consistent" `Quick
             test_oracle_batched_consistent;
+        ] );
+      ( "reclaim",
+        [
+          Alcotest.test_case "storm completes under the live checker" `Quick
+            test_reclaim_storm_live;
         ] );
     ]

@@ -1,5 +1,6 @@
 (* Tests for the two remaining extensions: transparent huge-page
-   promotion (khugepaged) and the second-chance swap daemon. *)
+   promotion (khugepaged) and the page-out daemon's second-chance clock
+   scan, driven over one registered address space. *)
 
 open Cortenmm
 module Engine = Mm_sim.Engine
@@ -107,35 +108,40 @@ let test_auto_thp () =
         check Alcotest.int "contiguous block" (head + 1) pfn
       | s -> Alcotest.failf "expected mapped, got %s" (Status.to_string s))
 
-(* -- Swap daemon -- *)
+(* -- Swap daemon: a page-out daemon over one address space -- *)
+
+let swap_daemon kernel asp =
+  let dev = Blockdev.create ~name:"swap0" () in
+  let d = Pageoutd.create kernel ~dev () in
+  Pageoutd.register_space d asp;
+  (d, dev)
 
 let test_swapd_reclaims_cold () =
   in_sim (fun () ->
-      let _, asp = make_asp () in
-      let dev = Blockdev.create ~name:"swap0" () in
+      let kernel, asp = make_asp () in
+      let d, dev = swap_daemon kernel asp in
       let addr = Mm_compat.mmap asp ~len:(64 * page) ~perm:Perm.rw () in
       Mm.touch_range asp ~addr ~len:(64 * page) ~write:true;
       (* Pass 1 strips accessed bits; pass 2 reclaims cold pages. *)
-      let stats = Swapd.fresh_stats () in
-      let got = Swapd.reclaim ~stats asp ~dev ~target:16 in
+      let got = Pageoutd.pressure d ~target_pages:16 in
       check Alcotest.int "reclaimed the target" 16 got;
       check Alcotest.bool "second chances given" true
-        (stats.Swapd.second_chances > 0);
+        ((Pageoutd.stats d).Pageoutd.second_chances > 0);
       check Alcotest.int "device holds 16 blocks" 16 (Blockdev.used_blocks dev))
 
 let test_swapd_spares_hot () =
   in_sim (fun () ->
-      let _, asp = make_asp () in
-      let dev = Blockdev.create ~name:"swap0" () in
+      let kernel, asp = make_asp () in
+      let d, _ = swap_daemon kernel asp in
       let addr = Mm_compat.mmap asp ~len:(32 * page) ~perm:Perm.rw () in
       Mm.touch_range asp ~addr ~len:(32 * page) ~write:true;
       let hot = addr in
       (* Strip everyone's accessed bit, then re-touch only the hot page. *)
-      ignore (Swapd.run_once asp ~dev ~target:0);
+      Pageoutd.age d;
       Mm.timer_tick asp;
       Mm.touch asp ~vaddr:hot ~write:false;
       (* Now reclaim: the hot page must survive this pass. *)
-      ignore (Swapd.run_once asp ~dev ~target:31);
+      ignore (Pageoutd.run_once d ~target:31);
       (match status_at asp hot with
       | Status.Mapped _ -> ()
       | s -> Alcotest.failf "hot page was swapped: %s" (Status.to_string s));
@@ -145,13 +151,13 @@ let test_swapd_spares_hot () =
 
 let test_swapd_roundtrip () =
   in_sim (fun () ->
-      let _, asp = make_asp () in
-      let dev = Blockdev.create ~name:"swap0" () in
+      let kernel, asp = make_asp () in
+      let d, dev = swap_daemon kernel asp in
       let addr = Mm_compat.mmap asp ~len:(16 * page) ~perm:Perm.rw () in
       for i = 0 to 15 do
         Mm.write_value asp ~vaddr:(addr + (i * page)) ~value:(100 + i)
       done;
-      ignore (Swapd.reclaim asp ~dev ~target:16);
+      ignore (Pageoutd.pressure d ~target_pages:16);
       (* Every page faults back in with its data. *)
       for i = 0 to 15 do
         check Alcotest.int
@@ -165,13 +171,13 @@ let test_swapd_roundtrip () =
 
 let test_swapd_skips_shared () =
   in_sim (fun () ->
-      let _, asp = make_asp () in
-      let dev = Blockdev.create ~name:"swap0" () in
+      let kernel, asp = make_asp () in
+      let d, _ = swap_daemon kernel asp in
       let addr = Mm_compat.mmap asp ~len:page ~perm:Perm.rw () in
       Mm.write_value asp ~vaddr:addr ~value:1;
       let child = Mm.fork asp in
-      (* COW-shared pages are unreclaimable by the simple daemon. *)
-      let got = Swapd.reclaim asp ~dev ~target:1 in
+      (* COW-shared pages are unreclaimable by the clock scan. *)
+      let got = Pageoutd.pressure d ~target_pages:1 in
       check Alcotest.int "nothing reclaimed" 0 got;
       ignore child)
 

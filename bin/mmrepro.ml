@@ -54,6 +54,25 @@ let jobs_arg =
            (default 1). Results are byte-identical for any value; only \
            wall-clock time changes.")
 
+(* --mutant NAME for the two checkers (oracle, schedcheck): arm one
+   seeded bug from the {!Mm_sim.Mutant} registry, which the checker must
+   then catch. Unknown names fail with the valid-name listing. *)
+let mutant_arg =
+  let module Mutant = Mm_sim.Mutant in
+  let mutant_conv =
+    Arg.conv
+      ( (fun s -> Result.map_error (fun m -> `Msg m) (Mutant.of_string s)),
+        fun ppf m -> Format.pp_print_string ppf (Mutant.name m) )
+  in
+  Arg.(
+    value
+    & opt (some mutant_conv) None
+    & info [ "mutant" ] ~docv:"NAME"
+        ~doc:
+          (Printf.sprintf
+             "Arm a seeded bug the checker must catch: %s (default: none)."
+             (String.concat ", " (List.map Mutant.name Mutant.all))))
+
 let with_obs ~trace ~report f =
   if trace <> None || report then Mm_obs.Trace.start ();
   f ();
@@ -410,28 +429,7 @@ let oracle_cmd =
       value & opt int 16
       & info [ "every" ] ~doc:"Snapshot-compare cadence in operations.")
   in
-  let cow_mutant =
-    Arg.(
-      value & flag
-      & info [ "cow-mutant" ]
-          ~doc:
-            "Arm the injected CortenMM fork bug (clone_for_fork skips the \
-             parent-side write-protect); the oracle must then report a \
-             divergence at the first child read observing a leaked parent \
-             store.")
-  in
-  let reclaim_mutant =
-    Arg.(
-      value & flag
-      & info [ "reclaim-mutant" ]
-          ~doc:
-            "Arm the injected pager bug (put_pages skips the dirty \
-             writeback, losing the page's data token at page-out); the \
-             oracle must then report a divergence at the first read \
-             observing the lost token.")
-  in
-  let run path profile ncpus ops seed every cow_mutant reclaim_mutant jobs
-      systems =
+  let run path profile ncpus ops seed every mutant jobs systems =
     let trace =
       match path with
       | Some p -> Mm_workloads.Trace.load p
@@ -443,8 +441,7 @@ let oracle_cmd =
       List.map (fun e -> e.Mm_workloads.System.Registry.r_backend) entries
     in
     match
-      Mm_workloads.Diff.run ~check_every:every ~jobs ~cow_mutant
-        ~reclaim_mutant ~backends trace
+      Mm_workloads.Diff.run ~check_every:every ~jobs ?mutant ~backends trace
     with
     | Ok n ->
       Printf.printf "oracle: %d ops, %d backends, no divergence\n" n
@@ -455,8 +452,8 @@ let oracle_cmd =
   in
   Cmd.v (Cmd.info "oracle" ~doc)
     Term.(
-      const run $ path $ profile $ ncpus $ ops $ seed $ every $ cow_mutant
-      $ reclaim_mutant $ jobs_arg $ systems_arg)
+      const run $ path $ profile $ ncpus $ ops $ seed $ every $ mutant_arg
+      $ jobs_arg $ systems_arg)
 
 let serve_cmd =
   let doc =
@@ -573,14 +570,6 @@ let schedcheck_cmd =
       value & opt int 8
       & info [ "amplitude" ] ~doc:"Tie-break key range (permutation width).")
   in
-  let mutant =
-    Arg.(
-      value & opt string "none"
-      & info [ "mutant" ]
-          ~doc:
-            "Inject a synchronization bug the harness must catch: none, \
-             rw-skip-handoff, rcu-no-gp.")
-  in
   let out =
     Arg.(
       value
@@ -626,11 +615,6 @@ let schedcheck_cmd =
         List.iter (fun v -> Printf.printf "  %s\n" v) violations;
         exit 1)
     | None ->
-      let mutant =
-        match S.mutant_of_string mutant with
-        | Ok m -> m
-        | Error msg -> die msg
-      in
       let protocols =
         match protocol with
         | `Adv -> [ Cortenmm.Config.adv ]
@@ -655,7 +639,8 @@ let schedcheck_cmd =
               "schedcheck: %s: %d seeds clean (%d cpus, %d ops/cpu, mutant \
                %s)\n"
               (Cortenmm.Config.name protocol)
-              seeds cpus ops (S.mutant_name mutant)
+              seeds cpus ops
+              (Option.fold ~none:"none" ~some:Mm_sim.Mutant.name mutant)
           | S.Violation { sched_seed; keys; violations; shrink_runs } ->
             violated := true;
             Printf.printf
@@ -675,7 +660,7 @@ let schedcheck_cmd =
   Cmd.v (Cmd.info "schedcheck" ~doc)
     Term.(
       const run $ protocol $ cpus $ ops $ seeds $ seed0 $ wseed $ amplitude
-      $ mutant $ out $ replay $ jobs_arg)
+      $ mutant_arg $ out $ replay $ jobs_arg)
 
 let () =
   let doc = "CortenMM reproduction driver" in

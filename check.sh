@@ -19,10 +19,11 @@ dune exec bench/main.exe -- --only fig13 --json /tmp/b.json \
 tail -n 3 /tmp/check_bench.out
 
 echo "== bench parallel: -j 2 stream and JSON byte-identical to -j 1 =="
-dune exec bench/main.exe -- --only fig1,fig13 --json /tmp/bj.json \
+BJ_IDS=fig1,tab2,fig13,fig18,fig22,ext-thp,ext-swapd
+dune exec bench/main.exe -- --only "$BJ_IDS" --json /tmp/bj.json \
   > /tmp/bench_j1.out 2>/dev/null
 cp /tmp/bj.json /tmp/bj_seq.json
-dune exec bench/main.exe -- --only fig1,fig13 --json /tmp/bj.json -j 2 \
+dune exec bench/main.exe -- --only "$BJ_IDS" --json /tmp/bj.json -j 2 \
   > /tmp/bench_j2.out 2>/dev/null
 cmp /tmp/bench_j1.out /tmp/bench_j2.out \
   || { echo "bench: -j 2 stdout differs from -j 1"; exit 1; }
@@ -72,8 +73,8 @@ echo "== oracle: the injected COW fork mutant is caught =="
 # parent store leaks into a still-shared frame and the child's read
 # observes it; the fork-tree value model must report the divergence.
 if dune exec bin/mmrepro.exe -- oracle --profile forks --cpus 2 --ops 60 \
-     --seed 5 --cow-mutant > /dev/null 2>&1; then
-  echo "oracle: --cow-mutant NOT caught"; exit 1
+     --seed 5 --mutant fork-skip-parent-wp > /dev/null 2>&1; then
+  echo "oracle: fork-skip-parent-wp mutant NOT caught"; exit 1
 fi
 
 echo "== schedcheck: fixed-seed schedule exploration smoke (both protocols) =="
@@ -160,8 +161,8 @@ echo "== oracle: the injected reclaim mutant is caught =="
 # the token never reaches the device, so the refault after a page-out
 # reads zero and the value model must report the divergence.
 if dune exec bin/mmrepro.exe -- oracle --profile reclaim --cpus 2 --ops 150 \
-     --seed 7 --reclaim-mutant > /dev/null 2>&1; then
-  echo "oracle: --reclaim-mutant NOT caught"; exit 1
+     --seed 7 --mutant reclaim-skip-writeback > /dev/null 2>&1; then
+  echo "oracle: reclaim-skip-writeback mutant NOT caught"; exit 1
 fi
 
 echo "== serve smoke: reclaim_storm mix, determinism =="

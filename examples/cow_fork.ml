@@ -31,9 +31,7 @@ let () =
   let w = Engine.create ~ncpus:1 in
   Engine.spawn w ~cpu:0 (fun () ->
       let addr =
-        match Mm.mmap_r parent ~len:4096 ~perm:Perm.rw () with
-        | Ok a -> a
-        | Error e -> raise (Mm_hal.Errno.Error e)
+        Mm_hal.Errno.ok_exn (Mm.mmap_r parent ~len:4096 ~perm:Perm.rw ())
       in
       Mm.write_value parent ~vaddr:addr ~value:42;
       Printf.printf "== before fork\n";

@@ -5,12 +5,12 @@
    Run with: dune exec examples/memory_pressure.exe *)
 
 module Engine = Mm_sim.Engine
+module Errno = Mm_hal.Errno
 module Perm = Mm_hal.Perm
 open Cortenmm
 
 let page = 4096
 let mib n = n * 1024 * 1024
-let ok = function Ok v -> v | Error e -> raise (Mm_hal.Errno.Error e)
 
 let () =
   let kernel = Kernel.create ~numa_nodes:2 ~ncpus:4 () in
@@ -21,8 +21,11 @@ let () =
   let w = Engine.create ~ncpus:4 in
   Engine.spawn w ~cpu:0 (fun () ->
       Printf.printf "== NUMA placement (policy lives in the metadata) ==\n";
-      let a = ok (Mm.mmap_r asp ~policy:(Numa.Interleave [ 0; 1 ])
-                    ~len:(4 * page) ~perm:Perm.rw ()) in
+      let a =
+        Errno.ok_exn
+          (Mm.mmap_r asp ~policy:(Numa.Interleave [ 0; 1 ]) ~len:(4 * page)
+             ~perm:Perm.rw ())
+      in
       Mm.touch_range asp ~addr:a ~len:(4 * page) ~write:true;
       for i = 0 to 3 do
         let node =
@@ -37,7 +40,10 @@ let () =
       done;
 
       Printf.printf "\n== transparent huge pages ==\n";
-      let h = ok (Mm.mmap_r asp ~addr:(mib 512) ~len:(mib 2) ~perm:Perm.rw ()) in
+      let h =
+        Errno.ok_exn
+          (Mm.mmap_r asp ~addr:(mib 512) ~len:(mib 2) ~perm:Perm.rw ())
+      in
       Mm.touch_range asp ~addr:h ~len:(mib 2) ~write:true;
       Printf.printf "   PT pages before promotion: %d\n"
         (Mm_pt.Pt.pt_page_count (Addr_space.pt asp));
@@ -46,7 +52,7 @@ let () =
         (Mm_pt.Pt.pt_page_count (Addr_space.pt asp));
 
       Printf.printf "\n== memory pressure: the page-out daemon ==\n";
-      let r = ok (Mm.mmap_r asp ~len:(128 * page) ~perm:Perm.rw ()) in
+      let r = Errno.ok_exn (Mm.mmap_r asp ~len:(128 * page) ~perm:Perm.rw ()) in
       Mm.touch_range asp ~addr:r ~len:(128 * page) ~write:true;
       Mm.write_value asp ~vaddr:r ~value:4242;
       let got = Pageoutd.pressure daemon ~target_pages:100 in

@@ -7,14 +7,15 @@
    and unmaps it — printing what happens at each step. *)
 
 module Engine = Mm_sim.Engine
+
+(* The MM operations return typed errors; these examples only issue valid
+   requests, so [Errno.ok_exn] unwraps. *)
+module Errno = Mm_hal.Errno
+
 module Perm = Mm_hal.Perm
 open Cortenmm
 
 let step fmt = Printf.printf ("\n== " ^^ fmt ^^ "\n")
-
-(* The MM operations return typed errors; these examples only issue valid
-   requests, so unwrap. *)
-let ok = function Ok v -> v | Error e -> raise (Mm_hal.Errno.Error e)
 
 let () =
   let kernel = Kernel.create ~ncpus:4 () in
@@ -22,7 +23,9 @@ let () =
   let w = Engine.create ~ncpus:4 in
   Engine.spawn w ~cpu:0 (fun () ->
       step "mmap 64 KiB of anonymous memory (rw)";
-      let addr = ok (Mm.mmap_r asp ~len:(64 * 1024) ~perm:Perm.rw ()) in
+      let addr =
+        Errno.ok_exn (Mm.mmap_r asp ~len:(64 * 1024) ~perm:Perm.rw ())
+      in
       Printf.printf "   -> %#x (no physical pages yet: on-demand paging)\n"
         addr;
       Printf.printf "   PT pages so far: %d\n"
@@ -41,13 +44,13 @@ let () =
             (Status.to_string (Addr_space.query c addr)));
 
       step "mprotect the region read-only";
-      ok (Mm.mprotect_r asp ~addr ~len:(64 * 1024) ~perm:Perm.r);
+      Errno.ok_exn (Mm.mprotect_r asp ~addr ~len:(64 * 1024) ~perm:Perm.r);
       (match Mm.page_fault asp ~vaddr:addr ~write:true with
       | Mm.Sigsegv -> Printf.printf "   write fault -> SIGSEGV (as expected)\n"
       | Mm.Handled -> Printf.printf "   write fault unexpectedly handled!\n");
 
       step "munmap everything";
-      ok (Mm.munmap_r asp ~addr ~len:(64 * 1024));
+      Errno.ok_exn (Mm.munmap_r asp ~addr ~len:(64 * 1024));
       Addr_space.with_lock asp ~lo:addr ~hi:(addr + 4096) (fun c ->
           Printf.printf "   status(%#x) = %s\n" addr
             (Status.to_string (Addr_space.query c addr)));

@@ -8,6 +8,7 @@
    the page cache, and a shared mapping written back with msync. *)
 
 module Engine = Mm_sim.Engine
+module Errno = Mm_hal.Errno
 module Perm = Mm_hal.Perm
 open Cortenmm
 
@@ -15,7 +16,6 @@ let status_at asp addr =
   Addr_space.with_lock asp ~lo:addr ~hi:(addr + 4096) (fun c ->
       Status.to_string (Addr_space.query c addr))
 
-let ok = function Ok v -> v | Error e -> raise (Mm_hal.Errno.Error e)
 
 let () =
   let kernel = Kernel.create ~ncpus:1 () in
@@ -24,7 +24,7 @@ let () =
   Engine.spawn w ~cpu:0 (fun () ->
       Printf.printf "== swapping ==\n";
       let dev = Blockdev.create ~name:"nvme0swap" () in
-      let a = ok (Mm.mmap_r asp ~len:4096 ~perm:Perm.rw ()) in
+      let a = Errno.ok_exn (Mm.mmap_r asp ~len:4096 ~perm:Perm.rw ()) in
       Mm.write_value asp ~vaddr:a ~value:777;
       Printf.printf "   before swap-out: %s\n" (status_at asp a);
       ignore (Mm.swap_out asp ~vaddr:a ~dev);
@@ -38,7 +38,7 @@ let () =
       Printf.printf "\n== private file mapping (COW against the page cache) ==\n";
       let file = File.regular ~name:"libc.so" ~size:(64 * 1024) in
       let m =
-        ok
+        Errno.ok_exn
           (Mm.mmap_r asp ~backing:(Mm.File_private (file, 0)) ~len:(16 * 1024)
              ~perm:Perm.rw ())
       in
@@ -55,13 +55,13 @@ let () =
       Printf.printf "\n== shared mapping + msync ==\n";
       let log = File.regular ~name:"journal.dat" ~size:(16 * 1024) in
       let s =
-        ok
+        Errno.ok_exn
           (Mm.mmap_r asp ~backing:(Mm.Shared (log, 0)) ~len:(16 * 1024)
              ~perm:Perm.rw ())
       in
       Mm.write_value asp ~vaddr:s ~value:31337;
       Printf.printf "   wrote through the shared mapping; msync wrote back %d page(s)\n"
-        (ok (Mm.msync_r asp ~file:log));
+        (Errno.ok_exn (Mm.msync_r asp ~file:log));
 
       Printf.printf "\n== reverse mapping ==\n";
       let rmapped =

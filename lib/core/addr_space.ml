@@ -57,18 +57,6 @@ let () =
 
 let invariant ~ctx what = raise (Invariant { ctx; what })
 
-(* Fault-injection mutant for the differential oracle: when armed,
-   [clone_for_fork] "forgets" to write-protect the *parent's* private
-   leaves (the child still gets its read-only COW copies), so post-fork
-   parent writes land in the still-shared frames and the child observes
-   them. Domain-local like the lock-model mutants; cleared by
-   [Mm_workloads.Runner.reset_world_state]. *)
-let mutant_fork_key : bool ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref false)
-
-let set_mutant_fork_skip_parent_wp v = Domain.DLS.get mutant_fork_key := v
-let mutant_fork_skip_parent_wp () = !(Domain.DLS.get mutant_fork_key)
-
 (* User virtual address layout: skip the first 256 MiB (NULL guard, kernel
    image analog), use the rest of the canonical range. *)
 let va_lo = 0x1000_0000
@@ -1219,7 +1207,9 @@ let clone_for_fork pc cc =
   Vm_object.unref ct.obj;
   t.obj <- sp;
   ct.obj <- sc;
-  let skip_parent_wp = mutant_fork_skip_parent_wp () in
+  (* Seeded bug: "forget" to write-protect the parent's private leaves
+     (the child still gets its read-only COW copies). *)
+  let skip_parent_wp = Mm_sim.Mutant.(armed Fork_skip_parent_wp) in
   let phys = t.kernel.Kernel.phys in
   let geo = t.kernel.Kernel.isa.Isa.geo in
   let rec clone (pn : node) (cn : node) =

@@ -58,15 +58,6 @@ val reset_vm_object : t -> unit
     exec support, called by {!Mm.destroy} after the old top is unmapped
     and unreffed so the same space can be repopulated. *)
 
-val set_mutant_fork_skip_parent_wp : bool -> unit
-(** Fault-injection mutant for the differential oracle: when armed,
-    {!clone_for_fork} skips write-protecting the *parent's* private
-    leaves, so post-fork parent writes land in still-shared frames and
-    the child observes them. Domain-local; cleared by
-    [Mm_workloads.Runner.reset_world_state]. *)
-
-val mutant_fork_skip_parent_wp : unit -> bool
-
 (** {2 Transactions}
 
     A transaction's lifecycle is [lock] → cursor operations → [commit],

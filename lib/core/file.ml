@@ -35,9 +35,9 @@ type t = {
   mutable writebacks : int;
 }
 
-(* File ids appear in monitor/report text: domain-local, reset per
-   parallel task ([Mm_workloads.Runner.reset_world_state]) so they are
-   independent of what ran before on the same domain. *)
+(* File ids appear in {!Mm_obs.Bus} event and report text: domain-local,
+   reset per parallel task ([Mm_workloads.Runner.reset_world_state]) so
+   they are independent of what ran before on the same domain. *)
 let next_id_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 let next_id () = Domain.DLS.get next_id_key
 let reset_ids () = next_id () := 0
@@ -196,7 +196,7 @@ let pager t phys =
            after a drop observes stale data. *)
         List.map
           (fun (page_index, contents) ->
-            if not (Pager.mutant_reclaim_skip_writeback ()) then
+            if not Mm_sim.Mutant.(armed Reclaim_skip_writeback) then
               store_page t ~page_index ~contents
             else Hashtbl.remove t.dirty page_index;
             page_index)

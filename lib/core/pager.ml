@@ -63,18 +63,3 @@ type ops = {
   dealloc : unit -> unit;
 }
 
-(* -- Injected reclaim mutant (CI gate) --
-
-   "put_pages skips the dirty writeback": a paged-out page's content
-   token never reaches the backing store, so the page-in after reclaim
-   observes stale (or zero) data. Domain-local like the lock mutants so
-   parallel oracle tasks arm it independently;
-   [Mm_workloads.Runner.reset_world_state] clears it. *)
-
-let mutant_reclaim_key : bool ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref false)
-
-let set_mutant_reclaim_skip_writeback v =
-  Domain.DLS.get mutant_reclaim_key := v
-
-let mutant_reclaim_skip_writeback () = !(Domain.DLS.get mutant_reclaim_key)

@@ -46,10 +46,3 @@ type ops = {
   dealloc : unit -> unit;
       (** Release the provider's backing resources. *)
 }
-
-val set_mutant_reclaim_skip_writeback : bool -> unit
-(** Arm/disarm the injected reclaim bug ([put_pages] skips the dirty
-    writeback) on the calling domain — the differential oracle's
-    [--reclaim-mutant] CI gate. *)
-
-val mutant_reclaim_skip_writeback : unit -> bool

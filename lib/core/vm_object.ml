@@ -212,7 +212,8 @@ let pager ~dev ~phys =
                the block is reserved but the content token never reaches
                the device, so the swap-in reads back zero. *)
             let contents =
-              if Pager.mutant_reclaim_skip_writeback () then 0 else contents
+              if Mm_sim.Mutant.(armed Reclaim_skip_writeback) then 0
+              else contents
             in
             Blockdev.write_page dev ~block ~contents;
             block)

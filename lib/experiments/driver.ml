@@ -1,25 +1,24 @@
 (* The domain-parallel experiment driver (bench's engine room).
 
-   PR 7 parallelized *around* the entries (one pool task per registry
-   entry), which left the critical path at the slowest single entry —
-   fig14 alone was ~78% of the whole suite. This driver parallelizes
-   *inside* them: every cell of every selected cell-based entry
-   ({!Plan}) becomes its own pool task, flattened across entries into
-   ONE [Par] pool, with a weight-ordered scheduling hint so the heavy
-   64-core cells start first. Legacy entries ride the same pool as a
-   single opaque task each.
+   Parallelizing *around* the entries (one pool task per registry
+   entry) leaves the critical path at the slowest single entry — fig14
+   alone is ~78% of the whole suite. This driver parallelizes *inside*
+   them: every cell of every selected entry ({!Plan}) becomes its own
+   pool task, flattened across entries into ONE [Par] pool, with a
+   weight-ordered scheduling hint so the heavy 64-core cells start
+   first.
 
    Determinism argument, in three parts:
    - Each cell task starts with [Runner.reset_world_state], runs its one
-     world on whatever domain claimed it, and returns its
-     [Runner.result]s — a pure function of the cell.
+     world on whatever domain claimed it, and returns its value and
+     collected [Runner.result]s — a pure function of the cell.
    - The pool merges (and streams) task results strictly in submission
      order, whatever the claim order was.
    - Rendering happens on the *calling* domain, per entry, in submission
-     order, with the cells' results re-assembled in declaration order —
-     so the printed stream, the collected results feeding [bench
-     --json], and the per-entry aggregates are byte-identical to a
-     sequential run for any job count. *)
+     order, with the cells' values handed to the render in declaration
+     order — so the printed stream, the collected results feeding
+     [bench --json], and the per-entry aggregates are byte-identical to
+     a sequential run for any job count. *)
 
 module Runner = Mm_workloads.Runner
 module Out = Mm_util.Out
@@ -49,113 +48,96 @@ type task_result = {
 let gc_pacing () =
   Gc.set { (Gc.get ()) with minor_heap_size = 1 lsl 20; space_overhead = 300 }
 
-(* What one pool task returns: a legacy entry's full capture, or one
-   cell's measurement (plus whatever it printed — cells are expected to
-   be print-free; anything they do print is hoisted to just after the
-   entry header, identically at every job count). *)
-type piece =
-  | P_legacy of { output : string; results : (string * Runner.result) list }
-  | P_cell of {
-      value : Runner.result option;
-      output : string;
-      results : (string * Runner.result) list;
-    }
-
-let run_legacy ~collect (e : Registry.entry) f () =
-  Runner.reset_world_state ();
-  if collect then Runner.start_collecting ();
-  Runner.set_label e.id;
-  let results, output =
-    Out.capture (fun () ->
-        Out.printf "=== %s: %s ===\n\n" e.id e.title;
-        f ();
-        Out.print_newline ();
-        if collect then Runner.stop_collecting () else [])
-  in
-  P_legacy { output; results }
-
-let run_cell ~collect (e : Registry.entry) (c : Plan.cell) () =
-  Runner.reset_world_state ();
-  if collect then Runner.start_collecting ();
-  Runner.set_label e.id;
-  let (value, results), output =
-    Out.capture (fun () ->
-        let v = c.Plan.c_run () in
-        (v, if collect then Runner.stop_collecting () else []))
-  in
-  P_cell { value; output; results }
+(* What one cell task hands back through the pool: whatever the cell
+   printed (cells are expected to be print-free; anything they do print
+   is hoisted to just after the entry header, identically at every job
+   count) and its collected results. The cell's typed value travels
+   separately, in its entry's [values] slot (see [prepare]). *)
+type piece = {
+  output : string;
+  results : (string * Runner.result) list;
+}
 
 (* One selected entry, resolved: its flattened pool tasks plus what the
-   calling domain needs to reassemble it. *)
+   calling domain needs to reassemble it. The plan's value type is
+   hidden inside [p_render]. *)
 type prepared = {
   p_entry : Registry.entry;
-  p_plan : Plan.t option; (* None = legacy *)
+  p_labels : string list; (* cell labels, declaration order *)
   p_tasks : (float * (unit -> piece)) list; (* (weight, task) *)
+  p_render : unit -> unit;
 }
 
 let prepare ~collect (e : Registry.entry) =
-  match e.Registry.body with
-  | Registry.Run f ->
-    (* A legacy entry is one opaque task. Weight 100 ≈ a mid-sized cell:
-       start legacy entries neither first nor last (the hint only moves
-       wall-clock, never bytes). *)
-    { p_entry = e; p_plan = None; p_tasks = [ (100.0, run_legacy ~collect e f) ] }
-  | Registry.Cells mk ->
-    let plan = mk () in
-    {
-      p_entry = e;
-      p_plan = Some plan;
-      p_tasks =
-        List.map
-          (fun (c : Plan.cell) -> (c.Plan.c_weight, run_cell ~collect e c))
-          plan.Plan.cells;
-    }
+  let (Plan.Pack plan) = e.Registry.plan in
+  let cells = Array.of_list plan.Plan.cells in
+  let n = Array.length cells in
+  (* Cell [i]'s task stores its value here before handing its piece to
+     the pool; the pool's merge orders that store before the render
+     below reads it on the calling domain. *)
+  let values = Array.make n None in
+  let run_cell i (c : _ Plan.cell) () =
+    Runner.reset_world_state ();
+    if collect then Runner.start_collecting ();
+    Runner.set_label e.id;
+    let results, output =
+      Out.capture (fun () ->
+          values.(i) <- Some (c.Plan.c_run ());
+          if collect then Runner.stop_collecting () else [])
+    in
+    { output; results }
+  in
+  (* [take] hands the values out in declaration order; a render that
+     takes more or fewer values than there are cells fails the entry. *)
+  let render () =
+    let next = ref 0 in
+    let take () =
+      if !next >= n then
+        invalid_arg
+          (Printf.sprintf "%s: render took more values than its %d cells" e.id
+             n);
+      let v = Option.get values.(!next) in
+      incr next;
+      v
+    in
+    plan.Plan.render take;
+    if !next < n then
+      invalid_arg
+        (Printf.sprintf "%s: render took %d of its %d cell values" e.id !next
+           n)
+  in
+  {
+    p_entry = e;
+    p_labels = Array.to_list (Array.map (fun c -> c.Plan.c_label) cells);
+    p_tasks =
+      List.mapi (fun i (c : _ Plan.cell) -> (c.Plan.c_weight, run_cell i c))
+        plan.Plan.cells;
+    p_render = render;
+  }
 
 (* Reassemble an entry from its pieces (in declaration order): replay
    the header, any stray cell output, and the plan's render under
    [Out.capture] on the calling domain. *)
 let assemble (p : prepared) (pieces : piece Par.timed list) =
   let e = p.p_entry in
-  match (p.p_plan, pieces) with
-  | None, [ { Par.value = P_legacy { output; results }; seconds } ] ->
-    {
-      t_id = e.id;
-      t_title = e.title;
-      t_output = output;
-      t_results = results;
-      t_seconds = seconds;
-      t_cells = [ { ct_label = e.id; ct_seconds = seconds } ];
-    }
-  | Some plan, pieces ->
-    let cells =
+  let (), output =
+    Out.capture (fun () ->
+        Out.printf "=== %s: %s ===\n\n" e.id e.title;
+        List.iter (fun t -> Out.print_string t.Par.value.output) pieces;
+        p.p_render ();
+        Out.print_newline ())
+  in
+  {
+    t_id = e.id;
+    t_title = e.title;
+    t_output = output;
+    t_results = List.concat_map (fun t -> t.Par.value.results) pieces;
+    t_seconds = List.fold_left (fun a t -> a +. t.Par.seconds) 0.0 pieces;
+    t_cells =
       List.map2
-        (fun (c : Plan.cell) (t : piece Par.timed) ->
-          match t.Par.value with
-          | P_cell { value; output; results } ->
-            (c, value, output, results, t.Par.seconds)
-          | P_legacy _ -> assert false)
-        plan.Plan.cells pieces
-    in
-    let (), output =
-      Out.capture (fun () ->
-          Out.printf "=== %s: %s ===\n\n" e.id e.title;
-          List.iter (fun (_, _, out, _, _) -> Out.print_string out) cells;
-          plan.Plan.render (List.map (fun (c, v, _, _, _) -> (c, v)) cells);
-          Out.print_newline ())
-    in
-    {
-      t_id = e.id;
-      t_title = e.title;
-      t_output = output;
-      t_results = List.concat_map (fun (_, _, _, rs, _) -> rs) cells;
-      t_seconds = List.fold_left (fun a (_, _, _, _, s) -> a +. s) 0.0 cells;
-      t_cells =
-        List.map
-          (fun ((c : Plan.cell), _, _, _, s) ->
-            { ct_label = c.Plan.c_label; ct_seconds = s })
-          cells;
-    }
-  | None, _ -> assert false
+        (fun ct_label t -> { ct_label; ct_seconds = t.Par.seconds })
+        p.p_labels pieces;
+  }
 
 (* Heaviest-first claim order over the flattened tasks (stable: equal
    weights keep submission order). Purely a wall-clock hint — the pool

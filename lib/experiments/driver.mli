@@ -1,15 +1,15 @@
 (** Domain-parallel experiment driver.
 
-    Flattens the cells of every selected cell-based entry ({!Plan}) —
-    plus one opaque task per legacy entry — into one {!Mm_par.Par} pool
-    with a heaviest-first scheduling hint, then renders each entry on
-    the calling domain in submission order. The printed stream, the
-    collected results, and the per-entry aggregates are byte-identical
-    to a sequential run for any job count, while the parallel critical
-    path drops from "slowest entry" to "slowest cell". *)
+    Flattens the cells of every selected entry ({!Plan}) into one
+    {!Mm_par.Par} pool with a heaviest-first scheduling hint, then
+    renders each entry on the calling domain in submission order. The
+    printed stream, the collected results, and the per-entry aggregates
+    are byte-identical to a sequential run for any job count, while the
+    parallel critical path drops from "slowest entry" to "slowest
+    cell". *)
 
 type cell_time = {
-  ct_label : string;  (** the cell's declared label (entry id for legacy) *)
+  ct_label : string;  (** the cell's declared label *)
   ct_seconds : float;  (** wall-clock of this cell on its worker domain *)
 }
 
@@ -26,8 +26,8 @@ type task_result = {
       (** sum of the entry's cell seconds (rendering, which is
           microseconds of pure formatting, is not counted) *)
   t_cells : cell_time list;
-      (** per-cell wall-clock in declaration order; a single entry-wide
-          cell for legacy entries *)
+      (** per-cell wall-clock in declaration order; empty for an entry
+          without cells *)
 }
 
 val run_entries :
@@ -40,10 +40,11 @@ val run_entries :
     order. [emit] is called on the calling domain, strictly in
     submission order, as each entry (and all its predecessors) completes
     — print [t_output] there for a live stream. [collect] (default
-    false) gathers each entry's labeled results. Each cell (and each
-    legacy entry) starts with {!Mm_workloads.Runner.reset_world_state},
-    at [jobs = 1] too, so outputs are byte-identical across job
-    counts. *)
+    false) gathers each entry's labeled results. Each cell starts with
+    {!Mm_workloads.Runner.reset_world_state}, at [jobs = 1] too, so
+    outputs are byte-identical across job counts. An entry whose render
+    takes more or fewer values than it has cells raises
+    [Invalid_argument]. *)
 
 val emit_stdout : task_result -> unit
 (** Print a completed entry's captured stream to stdout and flush — the

@@ -3,10 +3,8 @@
    psearchy under ptmalloc/tcmalloc), Fig 18 (allocator memory usage),
    Fig 21 (8-thread other-PARSEC).
 
-   Fig 15/16/17/21 are cell-based ({!Plan}): one independent world per
-   (app, system, cores, allocator) combination. Fig 18 keeps the legacy
-   opaque form — it probes [System.mem_stats] on the live system object
-   after each run, which does not reduce to a single [Runner.result]. *)
+   Each is a {!Plan}: one independent world per (app, system, cores,
+   allocator) combination. *)
 
 module Tablefmt = Mm_util.Tablefmt
 
@@ -39,6 +37,8 @@ let jvm_systems = [ System.Linux; corten_rw; adv_base; adv_vpa; corten_adv ]
 let metis_systems =
   [ System.Linux; System.Radixvm; corten_rw; adv_base; adv_vpa; corten_adv ]
 
+(* Every fig16 cell returns the one number its table cell shows: JVM
+   thread-creation latency in cycles, or metis throughput in ops/s. *)
 let fig16_plan () =
   let jvm_cells =
     List.concat_map
@@ -50,7 +50,7 @@ let fig16_plan () =
                 (Printf.sprintf "jvm/t%d/%s" n (System.kind_name kind))
               ~weight:(float_of_int n)
               (fun () ->
-                Plan.of_cycles (Apps.jvm_thread_creation ~kind ~nthreads:n ())))
+                float_of_int (Apps.jvm_thread_creation ~kind ~nthreads:n ())))
           jvm_systems)
       core_sweep
   in
@@ -65,12 +65,11 @@ let fig16_plan () =
               ~weight:(float_of_int n)
               (fun () ->
                 let r, _sys = Apps.metis ~kind ~ncpus:n () in
-                Some r))
+                r.Mm_workloads.Runner.ops_per_sec))
           metis_systems)
       core_sweep
   in
-  let render celled =
-    let take = Plan.taker celled in
+  let render take =
     Printf.printf
       "## Fig 16 (left) — JVM thread creation latency (cycles; lower is \
        better)\n\
@@ -81,10 +80,7 @@ let fig16_plan () =
       List.map
         (fun n ->
           string_of_int n
-          :: List.map
-               (fun _kind ->
-                 Tablefmt.fmt_si (float_of_int (Plan.cycles (take ()))))
-               jvm_systems)
+          :: List.map (fun _kind -> Tablefmt.fmt_si (take ())) jvm_systems)
         core_sweep
     in
     Tablefmt.print ~header rows;
@@ -100,7 +96,7 @@ let fig16_plan () =
       List.map
         (fun n ->
           string_of_int n
-          :: List.map (fun _kind -> Plan.fmt_tp (take ())) metis_systems)
+          :: List.map (fun _kind -> Tablefmt.fmt_si (take ())) metis_systems)
         core_sweep
     in
     Tablefmt.print ~header rows;
@@ -169,8 +165,7 @@ let fig17_plan () =
     fig17_cells ~name:"psearchy" (fun ~kind ~alloc_kind ~ncpus ->
         Apps.psearchy ~kind ~alloc_kind ~ncpus ())
   in
-  let render celled =
-    let take = Plan.taker celled in
+  let render take =
     Printf.printf
       "## Fig 17 — dedup and psearchy throughput with ptmalloc vs tcmalloc\n\n";
     fig17_render_one ~name:"dedup" take;
@@ -182,44 +177,60 @@ let fig17_plan () =
   in
   { Plan.cells = dedup_cells @ psearchy_cells; render }
 
-(* -- Fig 18: allocator memory usage (legacy: probes the live system) -- *)
+(* -- Fig 18: allocator memory usage (one world per (app, allocator);
+      each cell returns the live system's memory statistics) -- *)
 
-let fig18 () =
-  Printf.printf
-    "## Fig 18 — resident memory: tcmalloc vs the default allocator\n\
-     Bytes held after the dedup / psearchy runs (16 cores, CortenMM_adv).\n\n";
-  let rows =
+let fig18_apps =
+  [
+    ( "dedup",
+      fun ~alloc_kind -> Apps.dedup ~kind:corten_adv ~alloc_kind ~ncpus:16 () );
+    ( "psearchy",
+      fun ~alloc_kind -> Apps.psearchy ~kind:corten_adv ~alloc_kind ~ncpus:16 ()
+    );
+  ]
+
+let fig18_plan () =
+  let cells =
     List.concat_map
       (fun (name, run) ->
         List.map
           (fun alloc ->
-            let (_ : Mm_workloads.Runner.result), (sys : System.t) =
-              run ~alloc_kind:alloc
-            in
-            let m = System.mem_stats sys in
-            [
-              name;
-              Alloc_model.kind_name alloc;
-              Tablefmt.fmt_bytes m.System.resident_bytes;
-              Tablefmt.fmt_bytes m.System.peak_resident_bytes;
-              Tablefmt.fmt_bytes m.System.pt_bytes;
-            ])
-          [ Alloc_model.Ptmalloc; Alloc_model.Tcmalloc ])
-      [
-        ( "dedup",
-          fun ~alloc_kind -> Apps.dedup ~kind:corten_adv ~alloc_kind ~ncpus:16 () );
-        ( "psearchy",
-          fun ~alloc_kind ->
-            Apps.psearchy ~kind:corten_adv ~alloc_kind ~ncpus:16 () );
-      ]
+            Plan.cell
+              ~label:(Printf.sprintf "%s/%s" name (Alloc_model.kind_name alloc))
+              ~weight:16.0
+              (fun () -> System.mem_stats (snd (run ~alloc_kind:alloc))))
+          fig17_allocs)
+      fig18_apps
   in
-  Tablefmt.print
-    ~header:[ "app"; "allocator"; "resident after run"; "peak"; "page tables" ]
-    rows;
-  Printf.printf
-    "\nPaper: tcmalloc's speed costs ~2x resident memory — it rarely returns\n\
-     freed pages to the OS, so its resident set stays at the high-water\n\
-     mark while ptmalloc's drops back after every free.\n\n"
+  let render take =
+    Printf.printf
+      "## Fig 18 — resident memory: tcmalloc vs the default allocator\n\
+       Bytes held after the dedup / psearchy runs (16 cores, CortenMM_adv).\n\n";
+    let rows =
+      List.concat_map
+        (fun (name, _) ->
+          List.map
+            (fun alloc ->
+              let (m : System.mem_stats) = take () in
+              [
+                name;
+                Alloc_model.kind_name alloc;
+                Tablefmt.fmt_bytes m.System.resident_bytes;
+                Tablefmt.fmt_bytes m.System.peak_resident_bytes;
+                Tablefmt.fmt_bytes m.System.pt_bytes;
+              ])
+            fig17_allocs)
+        fig18_apps
+    in
+    Tablefmt.print
+      ~header:[ "app"; "allocator"; "resident after run"; "peak"; "page tables" ]
+      rows;
+    Printf.printf
+      "\nPaper: tcmalloc's speed costs ~2x resident memory — it rarely returns\n\
+       freed pages to the OS, so its resident set stays at the high-water\n\
+       mark while ptmalloc's drops back after every free.\n\n"
+  in
+  { Plan.cells; render }
 
 (* -- Fig 15 / Fig 21: PARSEC-class compute workloads -- *)
 
@@ -262,8 +273,7 @@ let parsec_render take =
   Tablefmt.print ~header rows
 
 let fig15_plan () =
-  let render celled =
-    let take = Plan.taker celled in
+  let render take =
     Printf.printf
       "## Fig 15 — single-threaded real-world applications (normalized to \
        Linux)\n\
@@ -276,8 +286,7 @@ let fig15_plan () =
   { Plan.cells = parsec_cells ~ncpus:1; render }
 
 let fig21_plan () =
-  let render celled =
-    let take = Plan.taker celled in
+  let render take =
     Printf.printf
       "## Fig 21 — 8-threaded other-PARSEC workloads (normalized to Linux)\n\n";
     parsec_render take;

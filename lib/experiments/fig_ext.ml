@@ -16,15 +16,15 @@ let print_newline = Mm_util.Out.print_newline
 let _ = print_newline
 
 module Engine = Mm_sim.Engine
+module Errno = Mm_hal.Errno
 module Perm = Mm_hal.Perm
 open Cortenmm
 
 let page = 4096
 let mib n = n * 1024 * 1024
-let ok = function Ok v -> v | Error e -> raise (Mm_hal.Errno.Error e)
 
 (* -- ext-numa: fault cost under each policy on a 2-node machine
-      (cell-based: one world per policy) -- *)
+      (one world per policy, returning cycles per fault) -- *)
 
 let ext_numa_policies =
   [
@@ -41,7 +41,7 @@ let ext_numa_run ~policy =
   let w = Engine.create ~ncpus:2 in
   Engine.spawn w ~cpu:0 (fun () ->
       let len = 256 * page in
-      let addr = ok (Mm.mmap_r asp ~policy ~len ~perm:Perm.rw ()) in
+      let addr = Errno.ok_exn (Mm.mmap_r asp ~policy ~len ~perm:Perm.rw ()) in
       let t0 = Engine.now () in
       Mm.touch_range asp ~addr ~len ~write:true;
       out := (Engine.now () - t0) / 256);
@@ -52,12 +52,10 @@ let ext_numa_plan () =
   let cells =
     List.map
       (fun (name, policy) ->
-        Plan.cell ~label:name ~weight:1.0 (fun () ->
-            Plan.of_cycles (ext_numa_run ~policy)))
+        Plan.cell ~label:name ~weight:1.0 (fun () -> ext_numa_run ~policy))
       ext_numa_policies
   in
-  let render celled =
-    let take = Plan.taker celled in
+  let render take =
     Printf.printf
       "## ext-numa — anonymous fault cost per NUMA policy (2 nodes)\n\
        The policy lives in the per-PTE metadata (the paper's §4.5 plan);\n\
@@ -65,65 +63,78 @@ let ext_numa_plan () =
     Tablefmt.print
       ~header:[ "policy"; "cycles/fault" ]
       (List.map
-         (fun (name, _policy) -> [ name; string_of_int (Plan.cycles (take ())) ])
+         (fun (name, _policy) -> [ name; string_of_int (take ()) ])
          ext_numa_policies);
     Printf.printf
       "\nExpected: local == bind-local < interleave < bind-remote.\n\n"
   in
   { Plan.cells; render }
 
-(* -- ext-thp: huge-page promotion effect on TLB reach -- *)
+(* -- ext-thp: huge-page promotion effect on TLB reach (one world per
+      config, returning (PT pages, cycles per re-walk)) -- *)
 
-let ext_thp () =
-  Printf.printf
-    "## ext-thp — transparent huge pages: PT pages and re-walk cost\n\
-     khugepaged collapses fully-populated 2 MiB regions into huge leaves:\n\
-     fewer PT pages and a one-entry TLB footprint per region.\n\n";
-  let run ~thp =
-    let kernel = Kernel.create ~ncpus:1 () in
-    let cfg = if thp then Config.with_thp Config.adv else Config.adv in
-    let asp = Addr_space.create kernel cfg in
-    let pt_pages = ref 0 and rewalk = ref 0 in
-    let w = Engine.create ~ncpus:1 in
-    Engine.spawn w ~cpu:0 (fun () ->
-        let len = mib 16 in
-        let addr = ok (Mm.mmap_r asp ~addr:(mib 512) ~len ~perm:Perm.rw ()) in
-        Mm.touch_range asp ~addr ~len ~write:true;
-        pt_pages := Mm_pt.Pt.pt_page_count (Addr_space.pt asp);
-        (* Flush the TLB, then re-walk every 64th page. *)
-        Mm.timer_tick asp;
-        let tlb = Addr_space.tlb asp in
-        Mm_tlb.Tlb.flush_local tlb ~cpu:0
-          ~vpns:(List.init 64 (fun i -> (addr / page) + (i * 64)));
-        let t0 = Engine.now () in
-        let rec go i =
-          if i < 64 then begin
-            Mm.touch asp ~vaddr:(addr + (i * 64 * page)) ~write:false;
-            go (i + 1)
-          end
-        in
-        go 0;
-        rewalk := (Engine.now () - t0) / 64);
-    Engine.run w;
-    (!pt_pages, !rewalk)
+let ext_thp_run ~thp =
+  let kernel = Kernel.create ~ncpus:1 () in
+  let cfg = if thp then Config.with_thp Config.adv else Config.adv in
+  let asp = Addr_space.create kernel cfg in
+  let pt_pages = ref 0 and rewalk = ref 0 in
+  let w = Engine.create ~ncpus:1 in
+  Engine.spawn w ~cpu:0 (fun () ->
+      let len = mib 16 in
+      let addr =
+        Errno.ok_exn (Mm.mmap_r asp ~addr:(mib 512) ~len ~perm:Perm.rw ())
+      in
+      Mm.touch_range asp ~addr ~len ~write:true;
+      pt_pages := Mm_pt.Pt.pt_page_count (Addr_space.pt asp);
+      (* Flush the TLB, then re-walk every 64th page. *)
+      Mm.timer_tick asp;
+      let tlb = Addr_space.tlb asp in
+      Mm_tlb.Tlb.flush_local tlb ~cpu:0
+        ~vpns:(List.init 64 (fun i -> (addr / page) + (i * 64)));
+      let t0 = Engine.now () in
+      let rec go i =
+        if i < 64 then begin
+          Mm.touch asp ~vaddr:(addr + (i * 64 * page)) ~write:false;
+          go (i + 1)
+        end
+      in
+      go 0;
+      rewalk := (Engine.now () - t0) / 64);
+  Engine.run w;
+  (!pt_pages, !rewalk)
+
+let ext_thp_configs = [ ("4 KiB pages", false); ("THP", true) ]
+
+let ext_thp_plan () =
+  let cells =
+    List.map
+      (fun (name, thp) ->
+        Plan.cell ~label:name ~weight:1.0 (fun () -> ext_thp_run ~thp))
+      ext_thp_configs
   in
-  let base_pt, base_walk = run ~thp:false in
-  let thp_pt, thp_walk = run ~thp:true in
-  Tablefmt.print
-    ~header:[ "config"; "PT pages (16 MiB)"; "cycles/re-walk" ]
-    [
-      [ "4 KiB pages"; string_of_int base_pt; string_of_int base_walk ];
-      [ "THP"; string_of_int thp_pt; string_of_int thp_walk ];
-    ];
-  Printf.printf
-    "\nExpected: THP removes the level-1 PT pages (8 of them for 16 MiB)\n\
-     and shortens the walk by one level.\n\n"
+  let render take =
+    Printf.printf
+      "## ext-thp — transparent huge pages: PT pages and re-walk cost\n\
+       khugepaged collapses fully-populated 2 MiB regions into huge leaves:\n\
+       fewer PT pages and a one-entry TLB footprint per region.\n\n";
+    Tablefmt.print
+      ~header:[ "config"; "PT pages (16 MiB)"; "cycles/re-walk" ]
+      (List.map
+         (fun (name, _) ->
+           let pt, walk = take () in
+           [ name; string_of_int pt; string_of_int walk ])
+         ext_thp_configs);
+    Printf.printf
+      "\nExpected: THP removes the level-1 PT pages (8 of them for 16 MiB)\n\
+       and shortens the walk by one level.\n\n"
+  in
+  { Plan.cells; render }
 
-(* -- ext-swapd: second-chance reclaim under memory pressure -- *)
+(* -- ext-swapd: second-chance reclaim under memory pressure (one
+      world, returning the daemon's stats, the surviving hot pages and
+      the pages still resident) -- *)
 
-let ext_swapd () =
-  Printf.printf
-    "## ext-swapd — swap daemon: hot pages survive, cold pages go to disk\n\n";
+let ext_swapd_run () =
   let kernel = Kernel.create ~ncpus:1 () in
   let asp = Addr_space.create kernel Config.adv in
   let dev = Blockdev.create ~name:"nvme0swap" () in
@@ -133,7 +144,7 @@ let ext_swapd () =
   let w = Engine.create ~ncpus:1 in
   Engine.spawn w ~cpu:0 (fun () ->
       let len = 256 * page in
-      let addr = ok (Mm.mmap_r asp ~len ~perm:Perm.rw ()) in
+      let addr = Errno.ok_exn (Mm.mmap_r asp ~len ~perm:Perm.rw ()) in
       Mm.touch_range asp ~addr ~len ~write:true;
       (* Age everything once, then keep 32 pages hot. *)
       Pageoutd.age daemon;
@@ -151,21 +162,30 @@ let ext_swapd () =
       done;
       resident_total := 256 - Blockdev.used_blocks dev);
   Engine.run w;
-  let stats = Pageoutd.stats daemon in
-  Tablefmt.print
-    ~header:[ "metric"; "value" ]
-    [
-      [ "pages scanned"; string_of_int stats.Pageoutd.scanned ];
-      [ "second chances"; string_of_int stats.Pageoutd.second_chances ];
-      [ "pages swapped"; string_of_int stats.Pageoutd.swapped ];
-      [ "hot pages surviving"; Printf.sprintf "%d / 32" !survived_hot ];
-      [ "pages still resident"; string_of_int !resident_total ];
-    ];
-  Printf.printf "\nExpected: all 32 hot pages survive the reclaim pass.\n\n"
+  (Pageoutd.stats daemon, !survived_hot, !resident_total)
 
+let ext_swapd_plan () =
+  let render take =
+    let stats, survived_hot, resident_total = take () in
+    Printf.printf
+      "## ext-swapd — swap daemon: hot pages survive, cold pages go to disk\n\n";
+    Tablefmt.print
+      ~header:[ "metric"; "value" ]
+      [
+        [ "pages scanned"; string_of_int stats.Pageoutd.scanned ];
+        [ "second chances"; string_of_int stats.Pageoutd.second_chances ];
+        [ "pages swapped"; string_of_int stats.Pageoutd.swapped ];
+        [ "hot pages surviving"; Printf.sprintf "%d / 32" survived_hot ];
+        [ "pages still resident"; string_of_int resident_total ];
+      ];
+    Printf.printf "\nExpected: all 32 hot pages survive the reclaim pass.\n\n"
+  in
+  { Plan.cells = [ Plan.cell ~label:"swapd" ~weight:1.0 ext_swapd_run ];
+    render }
 
 (* -- ext-reclaim: fault tail latency under page-out pressure, rw vs adv
-      (cell-based: one world per (protocol, pressure)) -- *)
+      (one world per (protocol, pressure), returning read-latency
+      percentiles) -- *)
 
 let ext_reclaim_cpus = 4
 let ext_reclaim_pages = 96 (* per-CPU working set, pages *)
@@ -178,6 +198,8 @@ let ext_reclaim_rounds = 4
    exactly the latency the tail percentiles surface. Token equality on
    every read doubles as the value-model check that reclaim round-trips
    user data. *)
+type read_tail = { p50 : int; p99 : int; p999 : int }
+
 let ext_reclaim_run ~cfg ~pressure =
   let kernel = Kernel.create ~ncpus:ext_reclaim_cpus () in
   let asp = Addr_space.create kernel cfg in
@@ -189,7 +211,7 @@ let ext_reclaim_run ~cfg ~pressure =
   for cpu = 0 to ext_reclaim_cpus - 1 do
     Engine.spawn w ~cpu (fun () ->
         let len = ext_reclaim_pages * page in
-        let addr = ok (Mm.mmap_r asp ~len ~perm:Perm.rw ()) in
+        let addr = Errno.ok_exn (Mm.mmap_r asp ~len ~perm:Perm.rw ()) in
         for p = 0 to ext_reclaim_pages - 1 do
           Mm.write_value asp ~vaddr:(addr + (p * page))
             ~value:((cpu * 1000) + p + 1)
@@ -210,14 +232,11 @@ let ext_reclaim_run ~cfg ~pressure =
         done)
   done;
   Engine.run w;
-  (* Pack the fault percentiles into a plain record (the [of_cycles]
-     convention): p50 in [ops], p99 in [cycles], p999 in [ops_per_sec]. *)
-  Some
-    {
-      Mm_workloads.Runner.ops = Mm_obs.Metrics.quantile h 0.5;
-      cycles = Mm_obs.Metrics.quantile h 0.99;
-      ops_per_sec = float_of_int (Mm_obs.Metrics.quantile h 0.999);
-    }
+  {
+    p50 = Mm_obs.Metrics.quantile h 0.5;
+    p99 = Mm_obs.Metrics.quantile h 0.99;
+    p999 = Mm_obs.Metrics.quantile h 0.999;
+  }
 
 let ext_reclaim_cells =
   [
@@ -239,8 +258,7 @@ let ext_reclaim_plan () =
           (fun () -> ext_reclaim_run ~cfg ~pressure))
       ext_reclaim_cells
   in
-  let render celled =
-    let take = Plan.taker celled in
+  let render take =
     Printf.printf
       "## ext-reclaim — fault tail latency under page-out pressure\n\
        %d CPUs re-read private %d-page working sets for %d rounds; under\n\
@@ -254,16 +272,14 @@ let ext_reclaim_plan () =
       ~header:[ "protocol"; "pressure"; "read p50"; "read p99"; "read p999" ]
       (List.map
          (fun (name, _cfg, pressure) ->
-           match take () with
-           | Some r ->
-             [
-               name;
-               (if pressure then "storm" else "idle");
-               string_of_int r.Mm_workloads.Runner.ops;
-               string_of_int r.Mm_workloads.Runner.cycles;
-               string_of_int (int_of_float r.Mm_workloads.Runner.ops_per_sec);
-             ]
-           | None -> [ name; (if pressure then "storm" else "idle"); "n/a"; "n/a"; "n/a" ])
+           let t = take () in
+           [
+             name;
+             (if pressure then "storm" else "idle");
+             string_of_int t.p50;
+             string_of_int t.p99;
+             string_of_int t.p999;
+           ])
          ext_reclaim_cells);
     Printf.printf
       "\nExpected: idle rows stay at TLB-hit cost on both protocols; the\n\
@@ -272,8 +288,8 @@ let ext_reclaim_plan () =
   in
   { Plan.cells; render }
 
-(* -- ext-trace: workload-trace replay across every system (cell-based:
-      one world per (profile, system); trace generation is seeded and
+(* -- ext-trace: workload-trace replay across every system (one world
+      per (profile, system); trace generation is seeded and
       deterministic, so each cell regenerates its own copy) -- *)
 
 let ext_trace_systems =
@@ -311,8 +327,7 @@ let ext_trace_plan () =
           ext_trace_systems)
       ext_trace_profiles
   in
-  let render celled =
-    let take = Plan.taker celled in
+  let render take =
     Printf.printf
       "## ext-trace — synthetic MM traces replayed on every system\n\
        The same operation stream (8 CPUs, 150 ops/CPU, region ids portable\n\
@@ -336,9 +351,9 @@ let ext_trace_plan () =
   { Plan.cells; render }
 
 (* -- ext-fleet: the fork_fleet serving mix across every system ×
-      shootdown policy (cell-based: one open-loop serving world per
-      (system, policy); the mix is seeded, so each cell is
-      self-contained) -- *)
+      shootdown policy (one open-loop serving world per (system, policy),
+      returning its session-latency stats; the mix is seeded, so each
+      cell is self-contained) -- *)
 
 let ext_fleet_sessions = 600
 let ext_fleet_cpus = 4
@@ -362,30 +377,18 @@ let ext_fleet_plan () =
                    policy_name)
               ~weight:10.0
               (fun () ->
-                let r =
-                  Mm_serve.Serve.run
-                    ~backend:(Mm_workloads.System.backend_of_kind kind)
-                    ~mix:Mm_serve.Mix.fork_fleet ~policy_name ~policy
-                    ~ncpus:ext_fleet_cpus ~sessions:ext_fleet_sessions
-                    ~seed:42 ()
-                in
                 (* Open-loop arrivals pin the throughput, so the signal
-                   is session latency: pack p50/p99 into a plain record
-                   (the [of_cycles] convention — never registered, so
-                   [bench --json] is unaffected). *)
-                Some
-                  {
-                    Mm_workloads.Runner.ops =
-                      r.Mm_serve.Serve.r_session.Mm_serve.Serve.s_p50;
-                    cycles = r.Mm_serve.Serve.r_session.Mm_serve.Serve.s_p99;
-                    ops_per_sec = 0.0;
-                  }))
+                   is session latency. *)
+                (Mm_serve.Serve.run
+                   ~backend:(Mm_workloads.System.backend_of_kind kind)
+                   ~mix:Mm_serve.Mix.fork_fleet ~policy_name ~policy
+                   ~ncpus:ext_fleet_cpus ~sessions:ext_fleet_sessions ~seed:42
+                   ())
+                  .Mm_serve.Serve.r_session))
           ext_fleet_policies)
       ext_trace_systems
   in
-  let render celled =
-    let take = Plan.taker celled in
-    let p50 = function Some r -> r.Mm_workloads.Runner.ops | None -> 0 in
+  let render take =
     Printf.printf
       "## ext-fleet — process-fleet serving: fork / COW-break / exit\n\
        The fork_fleet mix forks every session off a long-lived per-CPU\n\
@@ -405,8 +408,11 @@ let ext_fleet_plan () =
            Mm_workloads.System.kind_name kind
            :: List.concat_map
                 (fun _ ->
-                  let r = take () in
-                  [ string_of_int (p50 r); string_of_int (Plan.cycles r) ])
+                  let s = take () in
+                  [
+                    string_of_int s.Mm_serve.Serve.s_p50;
+                    string_of_int s.Mm_serve.Serve.s_p99;
+                  ])
                 ext_fleet_policies)
          ext_trace_systems);
     Printf.printf

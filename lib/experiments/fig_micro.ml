@@ -57,8 +57,7 @@ let fig13_plan ?(isa = Mm_hal.Isa.x86_64) () =
           all_systems)
       Micro.all_benches
   in
-  let render celled =
-    let take = Plan.taker celled in
+  let render take =
     Printf.printf
       "## Fig 13 — single-threaded microbenchmark throughput (%s)\n\
        ops/second of the Table 3 microbenchmarks, 1 core.\n\n"
@@ -123,8 +122,7 @@ let fig14_plan ?(isa = Mm_hal.Isa.x86_64) ?systems ?benches ?cores ?iters ()
           benches)
       contentions
   in
-  let render celled =
-    let take = Plan.taker celled in
+  let render take =
     Printf.printf
       "## Fig 14 — multithreaded microbenchmark throughput (%s)\n\
        ops/second over a core sweep; low contention = private regions,\n\
@@ -177,8 +175,7 @@ let fig1_plan () =
           core_sweep)
       benches
   in
-  let render celled =
-    let take = Plan.taker celled in
+  let render take =
     Printf.printf
       "## Fig 1 — motivation: multicore mmap-PF and munmap\n\
        (a) each thread mmaps a region and accesses it; (b) each thread\n\
@@ -228,8 +225,7 @@ let fig19_plan () =
           systems)
       Micro.all_benches
   in
-  let render celled =
-    let take = Plan.taker celled in
+  let render take =
     Printf.printf
       "## Fig 19 — microbenchmarks under the RISC-V Sv48 PTE format\n\
        Same engine, different bit-level format via the HAL (Fig 9 analog).\n\n";

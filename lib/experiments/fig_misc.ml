@@ -1,6 +1,7 @@
 (* Remaining experiments: Fig 20 (LMbench), Fig 22 (memory overhead),
    Table 2 (features), Table 4 (verification effort), Table 5
-   (portability). *)
+   (portability). Tables 2 and 5 derive from the sources alone, so their
+   plans have no cells. *)
 
 module Tablefmt = Mm_util.Tablefmt
 
@@ -23,27 +24,30 @@ let corten_adv = System.Corten Cortenmm.Config.adv
 
 (* -- Table 2: feature matrix -- *)
 
-let tab2 () =
-  Printf.printf
-    "## Table 2 — supported memory-management features\n\
-     The paper's feature claims per system, and what this reproduction\n\
-     actually implements (reproduction rows marked *).\n\n";
-  let mark b = if b then "yes" else "-" in
-  let rows =
-    List.concat_map
-      (fun (name, feats) ->
-        let impl = List.assoc name System.implemented_features in
-        [
-          name :: List.map mark feats;
-          (name ^ "*") :: List.map mark impl;
-        ])
-      System.table2_features
+let tab2_plan () =
+  let render (_ : unit -> unit) =
+    Printf.printf
+      "## Table 2 — supported memory-management features\n\
+       The paper's feature claims per system, and what this reproduction\n\
+       actually implements (reproduction rows marked *).\n\n";
+    let mark b = if b then "yes" else "-" in
+    let rows =
+      List.concat_map
+        (fun (name, feats) ->
+          let impl = List.assoc name System.implemented_features in
+          [
+            name :: List.map mark feats;
+            (name ^ "*") :: List.map mark impl;
+          ])
+        System.table2_features
+    in
+    Tablefmt.print ~header:("system" :: System.table2_headers) rows;
+    print_newline ()
   in
-  Tablefmt.print ~header:("system" :: System.table2_headers) rows;
-  print_newline ()
+  { Plan.cells = []; render }
 
-(* -- Fig 20: LMbench process benchmarks (cell-based: one world per
-      (bench, kind), cycle counts carried via [Plan.of_cycles]) -- *)
+(* -- Fig 20: LMbench process benchmarks (one world per (bench, kind),
+      returning cycles per iteration) -- *)
 
 let fig20_kinds =
   [ ("linux", `Linux); ("cortenmm-adv", `Corten Cortenmm.Config.adv) ]
@@ -59,12 +63,11 @@ let fig20_plan () =
             Plan.cell
               ~label:(Printf.sprintf "%s/%s" (Lmbench.bench_name bench) name)
               ~weight:1.0
-              (fun () -> Plan.of_cycles (Lmbench.run ~kind ~bench ())))
+              (fun () -> Lmbench.run ~kind ~bench ()))
           fig20_kinds)
       fig20_benches
   in
-  let render celled =
-    let take = Plan.taker celled in
+  let render take =
     Printf.printf
       "## Fig 20 — LMbench fork / fork+exec / shell (cycles per iteration; \
        lower is better)\n\
@@ -75,7 +78,7 @@ let fig20_plan () =
       List.map
         (fun bench ->
           let vals =
-            List.map (fun (_ : string * _) -> Plan.cycles (take ())) fig20_kinds
+            List.map (fun (_ : string * _) -> take ()) fig20_kinds
           in
           let linux = float_of_int (List.nth vals 0) in
           let adv = float_of_int (List.nth vals 1) in
@@ -92,60 +95,71 @@ let fig20_plan () =
   in
   { Plan.cells; render }
 
-(* -- Fig 22: memory overhead under metis -- *)
+(* -- Fig 22: memory overhead under metis (one world per system; each
+      cell returns the system's name and memory statistics) -- *)
 
-let fig22 () =
-  Printf.printf
-    "## Fig 22 — memory overhead: page tables (filled) + other metadata \
-     (empty)\n\
-     After a 16-core metis run. CortenMM-ub is the paper's upper bound:\n\
-     every PT page with a fully populated per-PTE metadata array.\n\n";
-  let systems =
-    [ System.Linux; System.Radixvm; System.Nros; corten_adv ]
-  in
-  let rows =
-    List.concat_map
+let fig22_systems = [ System.Linux; System.Radixvm; System.Nros; corten_adv ]
+
+let fig22_plan () =
+  let cells =
+    List.map
       (fun kind ->
-        let (_ : Mm_workloads.Runner.result), (sys : System.t) =
-          Apps.metis ~kind ~ncpus:16 ()
-        in
-        let m = System.mem_stats sys in
-        let resident = float_of_int (max 1 m.System.resident_bytes) in
-        let base =
-          [
-            sys.System.name;
-            Tablefmt.fmt_bytes m.System.pt_bytes;
-            Tablefmt.fmt_bytes m.System.kernel_bytes;
-            Tablefmt.fmt_bytes m.System.resident_bytes;
-            Printf.sprintf "%.2f%%"
-              (float_of_int (m.System.pt_bytes + m.System.kernel_bytes)
-              /. resident *. 100.0);
-          ]
-        in
-        match sys.System.kind with
-        | System.Corten _ ->
-          (* Also print the fully-populated-metadata upper bound. *)
-          let ub = 2 * m.System.pt_bytes in
-          [
-            base;
-            [
-              sys.System.name ^ "-ub";
-              Tablefmt.fmt_bytes m.System.pt_bytes;
-              Tablefmt.fmt_bytes (ub - m.System.pt_bytes);
-              Tablefmt.fmt_bytes m.System.resident_bytes;
-              Printf.sprintf "%.2f%%" (float_of_int ub /. resident *. 100.0);
-            ];
-          ]
-        | _ -> [ base ])
-      systems
+        Plan.cell ~label:(System.kind_name kind) ~weight:16.0 (fun () ->
+            let (_ : Mm_workloads.Runner.result), (sys : System.t) =
+              Apps.metis ~kind ~ncpus:16 ()
+            in
+            (sys.System.name, System.mem_stats sys)))
+      fig22_systems
   in
-  Tablefmt.print
-    ~header:[ "system"; "page tables"; "other metadata"; "resident"; "overhead" ]
-    rows;
-  Printf.printf
-    "\nPaper: CortenMM ~ Linux; the fully-populated metadata upper bound\n\
-     doubles CortenMM's overhead but stays within 2%% of resident memory;\n\
-     RadixVM pays for replicated page tables.\n\n"
+  let render take =
+    Printf.printf
+      "## Fig 22 — memory overhead: page tables (filled) + other metadata \
+       (empty)\n\
+       After a 16-core metis run. CortenMM-ub is the paper's upper bound:\n\
+       every PT page with a fully populated per-PTE metadata array.\n\n";
+    let rows =
+      List.concat_map
+        (fun kind ->
+          let name, (m : System.mem_stats) = take () in
+          let resident = float_of_int (max 1 m.System.resident_bytes) in
+          let base =
+            [
+              name;
+              Tablefmt.fmt_bytes m.System.pt_bytes;
+              Tablefmt.fmt_bytes m.System.kernel_bytes;
+              Tablefmt.fmt_bytes m.System.resident_bytes;
+              Printf.sprintf "%.2f%%"
+                (float_of_int (m.System.pt_bytes + m.System.kernel_bytes)
+                /. resident *. 100.0);
+            ]
+          in
+          match kind with
+          | System.Corten _ ->
+            (* Also print the fully-populated-metadata upper bound. *)
+            let ub = 2 * m.System.pt_bytes in
+            [
+              base;
+              [
+                name ^ "-ub";
+                Tablefmt.fmt_bytes m.System.pt_bytes;
+                Tablefmt.fmt_bytes (ub - m.System.pt_bytes);
+                Tablefmt.fmt_bytes m.System.resident_bytes;
+                Printf.sprintf "%.2f%%" (float_of_int ub /. resident *. 100.0);
+              ];
+            ]
+          | _ -> [ base ])
+        fig22_systems
+    in
+    Tablefmt.print
+      ~header:
+        [ "system"; "page tables"; "other metadata"; "resident"; "overhead" ]
+      rows;
+    Printf.printf
+      "\nPaper: CortenMM ~ Linux; the fully-populated metadata upper bound\n\
+       doubles CortenMM's overhead but stays within 2%% of resident memory;\n\
+       RadixVM pays for replicated page tables.\n\n"
+  in
+  { Plan.cells; render }
 
 (* -- Table 4: verification effort / checker statistics -- *)
 
@@ -166,12 +180,19 @@ let count_lines path =
 let loc_cell path =
   match count_lines path with Some n -> string_of_int n | None -> "n/a"
 
-let tab4 () =
-  Printf.printf
-    "## Table 4 — verification effort (model-checking substitution for \
-     Verus)\n\
-     States/transitions are summed over all checked scenarios; LoC counts\n\
-     the corresponding spec/checker/implementation sources.\n\n";
+(* Everything Table 4 reports, measured by its one cell: the model
+   checkers share a tree and finish in well under a second. *)
+type tab4_checks = {
+  rw_states : int;
+  rw_trans : int;
+  adv_states : int;
+  adv_trans : int;
+  refinement_ok : bool;
+  fc : Mm_verif.Funcheck.exhaustive_result;
+  lin : Mm_verif.Funcheck.lin_result;
+}
+
+let tab4_check () =
   let tree = Mm_verif.Tree.create ~arity:2 ~depth:3 in
   (* Locking model: all rw scenarios + all adv scenarios. *)
   let rw_scenarios =
@@ -230,58 +251,66 @@ let tab4 () =
     Mm_verif.Funcheck.lin_check ~cfg:Cortenmm.Config.adv ~ncpus:4
       ~ops_per_thread:15 ~seed:42
   in
-  Tablefmt.print
-    ~header:[ "component"; "states"; "transitions"; "spec+checker LoC"; "impl LoC" ]
-    [
+  { rw_states; rw_trans; adv_states; adv_trans; refinement_ok; fc; lin }
+
+let tab4_plan () =
+  let render take =
+    let c = take () in
+    Printf.printf
+      "## Table 4 — verification effort (model-checking substitution for \
+       Verus)\n\
+       States/transitions are summed over all checked scenarios; LoC counts\n\
+       the corresponding spec/checker/implementation sources.\n\n";
+    Tablefmt.print
+      ~header:
+        [ "component"; "states"; "transitions"; "spec+checker LoC"; "impl LoC" ]
       [
-        "Locking model (rw)";
-        string_of_int rw_states;
-        string_of_int rw_trans;
-        loc_cell "lib/verif/rw_model.ml";
-        loc_cell "lib/core/addr_space.ml";
+        [
+          "Locking model (rw)";
+          string_of_int c.rw_states;
+          string_of_int c.rw_trans;
+          loc_cell "lib/verif/rw_model.ml";
+          loc_cell "lib/core/addr_space.ml";
+        ];
+        [
+          "Locking model (adv)";
+          string_of_int c.adv_states;
+          string_of_int c.adv_trans;
+          loc_cell "lib/verif/adv_model.ml";
+          "(shared)";
+        ];
+        [
+          "Refinement to Atomic Spec";
+          (if c.refinement_ok then "holds" else "FAILS");
+          "-";
+          "(in rw_model)";
+          "-";
+        ];
+        [
+          "RCursor ops (exhaustive)";
+          string_of_int c.fc.Mm_verif.Funcheck.sequences ^ " seqs";
+          string_of_int c.fc.Mm_verif.Funcheck.checks ^ " checks";
+          loc_cell "lib/verif/funcheck.ml";
+          "(shared)";
+        ];
+        [
+          "Linearizability";
+          (if c.lin.Mm_verif.Funcheck.matched then "holds" else "FAILS");
+          string_of_int c.lin.Mm_verif.Funcheck.total_ops ^ " ops";
+          "(in funcheck)";
+          "-";
+        ];
+        [ "Checker core"; "-"; "-"; loc_cell "lib/verif/checker.ml"; "-" ];
       ];
-      [
-        "Locking model (adv)";
-        string_of_int adv_states;
-        string_of_int adv_trans;
-        loc_cell "lib/verif/adv_model.ml";
-        "(shared)";
-      ];
-      [
-        "Refinement to Atomic Spec";
-        (if refinement_ok then "holds" else "FAILS");
-        "-";
-        "(in rw_model)";
-        "-";
-      ];
-      [
-        "RCursor ops (exhaustive)";
-        string_of_int fc.Mm_verif.Funcheck.sequences ^ " seqs";
-        string_of_int fc.Mm_verif.Funcheck.checks ^ " checks";
-        loc_cell "lib/verif/funcheck.ml";
-        "(shared)";
-      ];
-      [
-        "Linearizability";
-        (if lin.Mm_verif.Funcheck.matched then "holds" else "FAILS");
-        string_of_int lin.Mm_verif.Funcheck.total_ops ^ " ops";
-        "(in funcheck)";
-        "-";
-      ];
-      [
-        "Checker core";
-        "-";
-        "-";
-        loc_cell "lib/verif/checker.ml";
-        "-";
-      ];
-    ];
-  Printf.printf
-    "\nFailures in RCursor exhaustive check: %d (must be 0).\n\
-     Paper: 4868 spec + 4279 proof LoC over 1769 impl LoC, proof/code 5.2:1,\n\
-     ~8 person-months, Verus verifies in <20 s. Our checker explores the\n\
-     full interleaving space of both protocols in seconds instead.\n\n"
-    (List.length fc.Mm_verif.Funcheck.failures)
+    Printf.printf
+      "\nFailures in RCursor exhaustive check: %d (must be 0).\n\
+       Paper: 4868 spec + 4279 proof LoC over 1769 impl LoC, proof/code 5.2:1,\n\
+       ~8 person-months, Verus verifies in <20 s. Our checker explores the\n\
+       full interleaving space of both protocols in seconds instead.\n\n"
+      (List.length c.fc.Mm_verif.Funcheck.failures)
+  in
+  { Plan.cells = [ Plan.cell ~label:"model-check" ~weight:1.0 tab4_check ];
+    render }
 
 (* -- Table 5: portability -- *)
 
@@ -305,30 +334,33 @@ let count_matching path pattern =
     !n
   with Sys_error _ -> 0
 
-let tab5 () =
-  Printf.printf
-    "## Table 5 — lines of code to port to another ISA / MMU feature\n\
-     Ours: the complete per-ISA format module (everything RISC-V- or\n\
-     ARM-specific lives there, as in the paper's Fig 9 design); MPK: the\n\
-     protection-key lines across the HAL. Paper's Linux numbers shown for\n\
-     comparison.\n\n";
-  let riscv = match count_lines "lib/hal/riscv_sv48.ml" with Some n -> n | None -> 0 in
-  let arm = match count_lines "lib/hal/arm64.ml" with Some n -> n | None -> 0 in
-  let mpk =
-    count_matching "lib/hal/x86_64.ml" "pku"
-    + count_matching "lib/hal/x86_64.ml" "mpk"
-    + count_matching "lib/hal/perm.ml" "mpk"
-    + count_matching "lib/hal/pte_format.ml" "mpk"
+let tab5_plan () =
+  let render (_ : unit -> unit) =
+    Printf.printf
+      "## Table 5 — lines of code to port to another ISA / MMU feature\n\
+       Ours: the complete per-ISA format module (everything RISC-V- or\n\
+       ARM-specific lives there, as in the paper's Fig 9 design); MPK: the\n\
+       protection-key lines across the HAL. Paper's Linux numbers shown for\n\
+       comparison.\n\n";
+    let riscv = match count_lines "lib/hal/riscv_sv48.ml" with Some n -> n | None -> 0 in
+    let arm = match count_lines "lib/hal/arm64.ml" with Some n -> n | None -> 0 in
+    let mpk =
+      count_matching "lib/hal/x86_64.ml" "pku"
+      + count_matching "lib/hal/x86_64.ml" "mpk"
+      + count_matching "lib/hal/perm.ml" "mpk"
+      + count_matching "lib/hal/pte_format.ml" "mpk"
+    in
+    Tablefmt.print
+      ~header:[ "feature"; "ours (LoC)"; "paper CortenMM"; "paper Linux" ]
+      [
+        [ "RISC-V"; string_of_int riscv; "252"; "699" ];
+        [ "ARMv8"; string_of_int arm; "(in progress)"; "-" ];
+        [ "Intel MPK"; string_of_int mpk; "82"; "273" ];
+        [ "Intel TDX"; "not modelled"; "368"; "471" ];
+      ];
+    Printf.printf
+      "\nPaper: CortenMM needs fewer porting lines than Linux because only the\n\
+       hardware level must change — there is no software-level abstraction to\n\
+       adapt.\n\n"
   in
-  Tablefmt.print
-    ~header:[ "feature"; "ours (LoC)"; "paper CortenMM"; "paper Linux" ]
-    [
-      [ "RISC-V"; string_of_int riscv; "252"; "699" ];
-      [ "ARMv8"; string_of_int arm; "(in progress)"; "-" ];
-      [ "Intel MPK"; string_of_int mpk; "82"; "273" ];
-      [ "Intel TDX"; "not modelled"; "368"; "471" ];
-    ];
-  Printf.printf
-    "\nPaper: CortenMM needs fewer porting lines than Linux because only the\n\
-     hardware level must change — there is no software-level abstraction to\n\
-     adapt.\n\n"
+  { Plan.cells = []; render }

@@ -1,63 +1,46 @@
 (* The plan/render split for experiments.
 
-   A cell-based experiment declares its independent simulation cells —
-   each cell builds, runs and drops ONE single-fiber world and returns
-   its measured [Runner.result option] — plus a pure [render] that
-   formats the tables from the completed (cell, result) pairs. The
-   driver can then flatten the cells of *every* selected entry into one
-   domain pool and still render each entry on the calling domain in
-   submission order, so the printed stream stays byte-identical to a
-   sequential run while the critical path drops from "slowest entry" to
-   "slowest cell" (fig14 alone is 350 cells).
+   An experiment declares its independent simulation cells — each cell
+   builds, runs and drops ONE world and returns its own measured value
+   ['a] — plus a pure [render] that formats the tables. The driver can
+   then flatten the cells of *every* selected entry into one domain pool
+   and still render each entry on the calling domain in submission
+   order, so the printed stream stays byte-identical to a sequential run
+   while the critical path drops from "slowest entry" to "slowest cell"
+   (fig14 alone is 350 cells).
 
    Cells must not print (all text belongs to [render]) and must not
    share state: the driver resets the domain-local world state before
    every cell, so a cell's behaviour — and its collected results — is a
-   pure function of the cell itself. *)
+   pure function of the cell itself. Source-derived tables (tab2, tab5)
+   are plans with no cells: everything happens in [render]. *)
 
 module Runner = Mm_workloads.Runner
 module Tablefmt = Mm_util.Tablefmt
 
-type cell = {
+type 'a cell = {
   c_label : string;  (** per-cell wall-clock label, e.g. "high/PF/c64/linux" *)
   c_weight : float;
       (** relative cost hint (roughly cores × iterations); the driver
           starts heavy cells first *)
-  c_run : unit -> Runner.result option;
-      (** run the cell's world; [None] when the system does not support
-          the bench (rendered as "n/a") *)
+  c_run : unit -> 'a;  (** run the cell's world, return its measurement *)
 }
 
-type t = {
-  cells : cell list;
-  render : (cell * Runner.result option) list -> unit;
-      (** format the experiment's output from the completed cells, given
-          in declaration order; pure apart from printing through
-          {!Mm_util.Out} *)
+type 'a t = {
+  cells : 'a cell list;
+  render : (unit -> 'a) -> unit;
+      (** format the experiment's output; [take ()] hands out the
+          completed cells' values in declaration order, and the driver
+          fails the entry unless render takes each exactly once. Pure
+          apart from printing through {!Mm_util.Out} *)
 }
+
+type packed = Pack : 'a t -> packed
 
 let cell ~label ~weight run = { c_label = label; c_weight = weight; c_run = run }
 
-(* Sequential execution of a plan — what the monolithic [run] used to
-   do. Runs cells in declaration order on the calling domain, then
-   renders; no world-state resets, so callers that manage collection
-   themselves (tests) see the same behaviour as before the split. *)
-let run_seq p = p.render (List.map (fun c -> (c, c.c_run ())) p.cells)
-
-(* A render walks the completed results in declaration order with the
-   same nested loops that declared the cells; [taker] hands them out one
-   by one so the two traversals cannot drift apart silently. *)
-let taker celled =
-  let q = ref (List.map snd celled) in
-  fun () ->
-    match !q with
-    | [] -> invalid_arg "Plan.taker: render consumed more results than cells"
-    | x :: tl ->
-      q := tl;
-      x
-
 (* -- Result formatting helpers, shared by fig_micro / fig_apps /
-      fig_misc / fig_ext (one definition instead of per-file copies) -- *)
+      fig_ext (one definition instead of per-file copies) -- *)
 
 (* Throughput of an optional result; [nan] marks "not supported". *)
 let tp = function
@@ -73,13 +56,3 @@ let fmt_tp = function
 let pct_vs ~base v =
   if Float.is_nan base || Float.is_nan v then "n/a"
   else Printf.sprintf "%+.1f%%" ((v /. base -. 1.0) *. 100.0)
-
-(* Cycle-valued measurements (JVM latency, LMbench, NUMA fault cost)
-   ride the same cell result type: the count lives in [cycles] and is
-   never registered with the result collector (a plain record literal,
-   not {!Runner.result}), so [bench --json] output is unaffected. *)
-let of_cycles n = Some { Runner.ops = 0; cycles = n; ops_per_sec = 0.0 }
-
-let cycles = function
-  | Some (r : Runner.result) -> r.cycles
-  | None -> 0

@@ -1,57 +1,40 @@
 (* The experiment registry: every table and figure of the paper's
-   evaluation, by id, with the driver that regenerates it.
-
-   Entries come in two forms. Cell-based entries ([Cells]) declare their
-   independent simulation cells plus a pure render ({!Plan}), which lets
-   the driver parallelize *inside* the entry; entries whose measurements
-   do not decompose into single-world cells (source-derived tables,
-   multi-probe worlds like fig18/fig22) keep the legacy opaque [Run]
-   form and parallelize at whole-entry granularity only. *)
-
-type body =
-  | Run of (unit -> unit)  (* legacy: one opaque print-as-you-go task *)
-  | Cells of (unit -> Plan.t)  (* plan built at run time, cells + render *)
+   evaluation, by id, with the plan that regenerates it ({!Plan}: cells
+   plus a pure render). {!Driver.run_entries} is the one way to run an
+   entry. *)
 
 type entry = {
   id : string;
   title : string;
-  body : body;
+  plan : Plan.packed;
 }
 
 let all =
   [
-    { id = "fig1"; title = "motivation: multicore mmap-PF and munmap"; body = Cells (fun () -> Fig_micro.fig1_plan ()) };
-    { id = "tab2"; title = "feature matrix"; body = Run Fig_misc.tab2 };
-    { id = "fig13"; title = "single-thread microbenchmarks"; body = Cells (fun () -> Fig_micro.fig13_plan ()) };
-    { id = "fig14"; title = "multithread microbenchmark sweeps"; body = Cells (fun () -> Fig_micro.fig14_plan ()) };
-    { id = "fig15"; title = "single-thread real-world apps"; body = Cells (fun () -> Fig_apps.fig15_plan ()) };
-    { id = "fig16"; title = "JVM thread creation + metis (with ablations)"; body = Cells (fun () -> Fig_apps.fig16_plan ()) };
-    { id = "fig17"; title = "dedup + psearchy under ptmalloc/tcmalloc"; body = Cells (fun () -> Fig_apps.fig17_plan ()) };
-    { id = "fig18"; title = "allocator memory usage"; body = Run Fig_apps.fig18 };
-    { id = "fig19"; title = "RISC-V port microbenchmarks"; body = Cells (fun () -> Fig_micro.fig19_plan ()) };
-    { id = "fig20"; title = "LMbench fork / fork+exec / shell"; body = Cells (fun () -> Fig_misc.fig20_plan ()) };
-    { id = "fig21"; title = "8-thread other-PARSEC"; body = Cells (fun () -> Fig_apps.fig21_plan ()) };
-    { id = "fig22"; title = "memory overhead"; body = Run Fig_misc.fig22 };
-    { id = "tab4"; title = "verification effort / checker statistics"; body = Run Fig_misc.tab4 };
-    { id = "tab5"; title = "portability LoC"; body = Run Fig_misc.tab5 };
+    { id = "fig1"; title = "motivation: multicore mmap-PF and munmap"; plan = Pack (Fig_micro.fig1_plan ()) };
+    { id = "tab2"; title = "feature matrix"; plan = Pack (Fig_misc.tab2_plan ()) };
+    { id = "fig13"; title = "single-thread microbenchmarks"; plan = Pack (Fig_micro.fig13_plan ()) };
+    { id = "fig14"; title = "multithread microbenchmark sweeps"; plan = Pack (Fig_micro.fig14_plan ()) };
+    { id = "fig15"; title = "single-thread real-world apps"; plan = Pack (Fig_apps.fig15_plan ()) };
+    { id = "fig16"; title = "JVM thread creation + metis (with ablations)"; plan = Pack (Fig_apps.fig16_plan ()) };
+    { id = "fig17"; title = "dedup + psearchy under ptmalloc/tcmalloc"; plan = Pack (Fig_apps.fig17_plan ()) };
+    { id = "fig18"; title = "allocator memory usage"; plan = Pack (Fig_apps.fig18_plan ()) };
+    { id = "fig19"; title = "RISC-V port microbenchmarks"; plan = Pack (Fig_micro.fig19_plan ()) };
+    { id = "fig20"; title = "LMbench fork / fork+exec / shell"; plan = Pack (Fig_misc.fig20_plan ()) };
+    { id = "fig21"; title = "8-thread other-PARSEC"; plan = Pack (Fig_apps.fig21_plan ()) };
+    { id = "fig22"; title = "memory overhead"; plan = Pack (Fig_misc.fig22_plan ()) };
+    { id = "tab4"; title = "verification effort / checker statistics"; plan = Pack (Fig_misc.tab4_plan ()) };
+    { id = "tab5"; title = "portability LoC"; plan = Pack (Fig_misc.tab5_plan ()) };
     (* Extensions beyond the paper's evaluation (its §4.5 future work). *)
-    { id = "ext-numa"; title = "extension: NUMA policies in the metadata"; body = Cells (fun () -> Fig_ext.ext_numa_plan ()) };
-    { id = "ext-thp"; title = "extension: transparent huge pages"; body = Run Fig_ext.ext_thp };
-    { id = "ext-swapd"; title = "extension: second-chance swap daemon"; body = Run Fig_ext.ext_swapd };
-    { id = "ext-trace"; title = "extension: trace replay across systems"; body = Cells (fun () -> Fig_ext.ext_trace_plan ()) };
-    { id = "ext-fleet"; title = "extension: fork_fleet process-fleet serving"; body = Cells (fun () -> Fig_ext.ext_fleet_plan ()) };
-    { id = "ext-reclaim"; title = "extension: fault tails under page-out pressure"; body = Cells (fun () -> Fig_ext.ext_reclaim_plan ()) };
+    { id = "ext-numa"; title = "extension: NUMA policies in the metadata"; plan = Pack (Fig_ext.ext_numa_plan ()) };
+    { id = "ext-thp"; title = "extension: transparent huge pages"; plan = Pack (Fig_ext.ext_thp_plan ()) };
+    { id = "ext-swapd"; title = "extension: second-chance swap daemon"; plan = Pack (Fig_ext.ext_swapd_plan ()) };
+    { id = "ext-trace"; title = "extension: trace replay across systems"; plan = Pack (Fig_ext.ext_trace_plan ()) };
+    { id = "ext-fleet"; title = "extension: fork_fleet process-fleet serving"; plan = Pack (Fig_ext.ext_fleet_plan ()) };
+    { id = "ext-reclaim"; title = "extension: fault tails under page-out pressure"; plan = Pack (Fig_ext.ext_reclaim_plan ()) };
   ]
 
 let ids = List.map (fun e -> e.id) all
-
-(* Run one entry sequentially on the calling domain (no header, no
-   world-state resets — byte-identical to the pre-split monolithic
-   [run]). The parallel path lives in [Driver.run_entries]. *)
-let run_entry e =
-  match e.body with
-  | Run f -> f ()
-  | Cells mk -> Plan.run_seq (mk ())
 
 (* Same shape as [System.Registry.find]: the error is a ready-to-print
    message embedding the valid ids. *)

@@ -14,6 +14,8 @@ type t =
 
 exception Error of t
 
+let ok_exn = function Ok v -> v | Error e -> raise (Error e)
+
 let to_string = function
   | EINVAL -> "EINVAL"
   | ENOMEM -> "ENOMEM"

@@ -16,6 +16,9 @@ exception Error of t
 (** Bridge for callers that prefer exceptions ({!System} [_exn]
     wrappers raise this). *)
 
+val ok_exn : ('a, t) result -> 'a
+(** The [Ok] value; raises {!Error} on [Error]. *)
+
 val to_string : t -> string
 
 val label : t -> string

@@ -36,30 +36,6 @@ let win_pages = 16
    widest overlap in the workload). *)
 let win_base = 0x4000_0000
 
-(* -- Mutants: deliberately broken synchronization, for harness
-   validation. The flags live in the simulated lock implementations. -- *)
-
-type mutant = M_none | M_rw_skip_handoff | M_rcu_no_gp
-
-let mutant_name = function
-  | M_none -> "none"
-  | M_rw_skip_handoff -> "rw-skip-handoff"
-  | M_rcu_no_gp -> "rcu-no-gp"
-
-let mutants = [ M_none; M_rw_skip_handoff; M_rcu_no_gp ]
-
-let mutant_of_string s =
-  match List.find_opt (fun m -> mutant_name m = s) mutants with
-  | Some m -> Ok m
-  | None ->
-    Error
-      (Printf.sprintf "unknown mutant %S (valid: %s)" s
-         (String.concat ", " (List.map mutant_name mutants)))
-
-let set_mutant m =
-  Mm_sim.Rwlock_s.set_mutant_skip_writer_handoff (m = M_rw_skip_handoff);
-  Mm_sim.Rcu_s.set_mutant_no_grace_period (m = M_rcu_no_gp)
-
 (* -- Workload -- *)
 
 type op =
@@ -137,7 +113,7 @@ type config = {
   cpus : int;
   ops_per_cpu : int;
   workload_seed : int;
-  mutant : mutant;
+  mutant : Mm_sim.Mutant.t option;
 }
 
 type run = {
@@ -216,7 +192,7 @@ let run_once cfg ~sched =
     gen_ops ~cpus:cfg.cpus ~ops_per_cpu:cfg.ops_per_cpu
       ~seed:cfg.workload_seed
   in
-  set_mutant cfg.mutant;
+  Mm_sim.Mutant.arm cfg.mutant;
   let live = Mm_verif.Live.create ~ncpus:cfg.cpus in
   (* Global commit sequence: events are emitted synchronously by the
      committing fiber, so this numbering is the true execution order.
@@ -236,7 +212,7 @@ let run_once cfg ~sched =
   let unsubscribe () = Mm_obs.Bus.unsubscribe sub in
   Fun.protect
     ~finally:(fun () ->
-      set_mutant M_none;
+      Mm_sim.Mutant.arm None;
       unsubscribe ())
   @@ fun () ->
   let sched = sched () in
@@ -268,7 +244,7 @@ let run_once cfg ~sched =
      the probes below stay invisible to the checker. Mutants off too:
      the sequential reference must be the *correct* semantics. *)
   unsubscribe ();
-  set_mutant M_none;
+  Mm_sim.Mutant.arm None;
   let violations = ref (List.rev !op_errors) in
   (match deadlock with
   | Some msg ->
@@ -408,13 +384,18 @@ let explore ?(amplitude = 8) ?(seed0 = 1) ?(shrink_budget = 200) ?(jobs = 1)
 
 (* -- Schedule files -- *)
 
+(* Schedule files spell "no mutant" as [none]. *)
+let mutant_of_file_name = function
+  | "none" -> Ok None
+  | s -> Result.map Option.some (Mm_sim.Mutant.of_string s)
+
 let schedule_of cfg keys =
   {
     Schedule.protocol = Config.protocol_to_string cfg.protocol.Config.protocol;
     cpus = cfg.cpus;
     ops = cfg.ops_per_cpu;
     workload_seed = cfg.workload_seed;
-    mutant = mutant_name cfg.mutant;
+    mutant = Option.fold ~none:"none" ~some:Mm_sim.Mutant.name cfg.mutant;
     keys;
   }
 
@@ -435,7 +416,7 @@ let config_of_schedule (s : Schedule.t) =
             workload_seed = s.Schedule.workload_seed;
             mutant;
           })
-        (mutant_of_string s.Schedule.mutant))
+        (mutant_of_file_name s.Schedule.mutant))
 
 let replay_schedule (s : Schedule.t) =
   Result.map

@@ -14,19 +14,6 @@
     prefix, fewer forced preemptions) to a minimal deterministic
     counterexample, exportable as a {!Schedule} file. *)
 
-(** {2 Mutants}
-
-    Deliberately broken synchronization in the simulated primitives, to
-    validate that the harness catches real protocol bugs. *)
-
-type mutant =
-  | M_none
-  | M_rw_skip_handoff  (** write_unlock never hands off to parked writers *)
-  | M_rcu_no_gp  (** RCU callbacks fire without waiting for readers *)
-
-val mutant_name : mutant -> string
-val mutant_of_string : string -> (mutant, string) result
-
 (** {2 Configuration and single runs} *)
 
 type config = {
@@ -34,7 +21,9 @@ type config = {
   cpus : int;
   ops_per_cpu : int;
   workload_seed : int;  (** generates the deterministic op streams *)
-  mutant : mutant;
+  mutant : Mm_sim.Mutant.t option;
+      (** seeded bug armed during the run (the reference replay runs
+          disarmed) *)
 }
 
 type run = {
@@ -44,7 +33,8 @@ type run = {
 
 val run_once : config -> sched:(unit -> Mm_sim.Sched.t) -> run
 (** Execute the workload in a fresh world built from [sched ()].
-    Resets mutant flags and the monitor hook on exit. *)
+    Disarms the mutant and unsubscribes its {!Mm_obs.Bus} checker on
+    exit. *)
 
 (** {2 Exploration and shrinking} *)
 

@@ -23,7 +23,7 @@ type t = {
   cpus : int;
   ops : int;  (* ops per cpu *)
   workload_seed : int;
-  mutant : string;  (* Schedcheck.mutant_name *)
+  mutant : string;  (* Mm_sim.Mutant.name, or "none" *)
   keys : int array;
 }
 

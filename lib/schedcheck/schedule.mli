@@ -8,7 +8,7 @@ type t = {
   cpus : int;
   ops : int;  (** operations per cpu *)
   workload_seed : int;
-  mutant : string;  (** {!Schedcheck.mutant_name} *)
+  mutant : string;  (** {!Mm_sim.Mutant.name}, or ["none"] *)
   keys : int array;  (** may be empty: fifo order *)
 }
 

@@ -31,17 +31,6 @@ let fresh_cb_id () =
 
 let reset_ids () = Domain.DLS.get next_cb_id_key := 0
 
-(* Fault injection for schedcheck's mutant-catching harness: run every
-   deferred callback immediately, ignoring the grace period — the
-   use-after-free class of RCU bug. Never set outside the harness.
-   Domain-local so concurrent schedcheck shards cannot disturb each
-   other's mutants. *)
-let mutant_no_grace_period_key : bool ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref false)
-
-let mutant_no_grace_period () = Domain.DLS.get mutant_no_grace_period_key
-let set_mutant_no_grace_period v = mutant_no_grace_period () := v
-
 type t = {
   nesting : int array;
   mutable pending : callback list;
@@ -129,7 +118,8 @@ let defer t fn =
   let waiting, remaining = snapshot_readers t in
   let observed = Mm_obs.Bus.on () in
   let cb_id = if observed then fresh_cb_id () else 0 in
-  let immediate = remaining = 0 || !(mutant_no_grace_period ()) in
+  (* Seeded bug: skip the grace period (use-after-free). *)
+  let immediate = remaining = 0 || Mutant.armed Mutant.Rcu_no_gp in
   if immediate then begin
     t.immediate <- t.immediate + 1;
     t.completed <- t.completed + 1;

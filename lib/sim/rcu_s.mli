@@ -22,13 +22,8 @@ val deferred : t -> int
 val completed : t -> int
 val immediate : t -> int
 
-val set_mutant_no_grace_period : bool -> unit
-(** Fault injection for the schedcheck harness (domain-local, default
-    off): [defer] runs its callback immediately, ignoring the grace
-    period — the use-after-free class of RCU bug. Only the schedule
-    explorer should ever set this; it must reset it before returning. *)
-
 val reset_ids : unit -> unit
-(** Reset the (domain-local) monitor correlation-id counter; parallel
-    drivers call this at task start so reported ids are independent of
-    what ran before on the same domain. *)
+(** Reset the (domain-local) callback-id counter that correlates
+    {!Mm_obs.Bus} RCU events; parallel drivers call this at task start
+    so reported ids are independent of what ran before on the same
+    domain. *)

@@ -175,21 +175,6 @@ let note_writer_release t =
          { lock = t.id; kind = Mm_obs.Event.Rw_write; held })
   end
 
-(* Fault injection for schedcheck's mutant-catching harness: a buggy
-   write_unlock that forgets to hand the lock to the next queued writer
-   (waiting readers are still admitted). Parked writers then starve —
-   exactly the class of omitted-wakeup bug the schedule explorer exists
-   to catch. Never set outside the harness. *)
-let mutant_skip_writer_handoff_key : bool ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref false)
-
-(* Domain-local so concurrent schedcheck shards cannot disturb each
-   other's mutants. *)
-let mutant_skip_writer_handoff () =
-  Domain.DLS.get mutant_skip_writer_handoff_key
-
-let set_mutant_skip_writer_handoff v = mutant_skip_writer_handoff () := v
-
 let write_unlock t =
   Engine.serialize ();
   if not t.writer then failwith "Rwlock_s.write_unlock: no writer";
@@ -199,8 +184,9 @@ let write_unlock t =
   note_writer_release t;
   t.writer <- false;
   t.writer_cpu <- -1;
+  (* Seeded bug [Rw_skip_handoff]: forget the parked writers. *)
   if not (Queue.is_empty t.rwait) then wake_reader_phase t
-  else if not !(mutant_skip_writer_handoff ()) then wake_next_writer t
+  else if not (Mutant.armed Mutant.Rw_skip_handoff) then wake_next_writer t
 
 let downgrade t =
   Engine.serialize ();

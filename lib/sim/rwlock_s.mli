@@ -27,9 +27,3 @@ val writer_active : t -> bool
 val read_acqs : t -> int
 val write_acqs : t -> int
 val revocations : t -> int
-
-val set_mutant_skip_writer_handoff : bool -> unit
-(** Fault injection for the schedcheck harness (global, default off): a
-    buggy [write_unlock] that forgets to hand the lock to the next queued
-    writer, starving it. Only the schedule explorer should ever set this;
-    it must reset it before returning. *)

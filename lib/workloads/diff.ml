@@ -458,8 +458,7 @@ let default_backends () =
    [jobs > 1] they run on separate domains; the logs come back in
    backend order either way, and the comparison below is sequential, so
    the verdict is identical for any [jobs]. *)
-let run ?isa ?(check_every = 16) ?(jobs = 1) ?(cow_mutant = false)
-    ?(reclaim_mutant = false) ?backends trace =
+let run ?isa ?(check_every = 16) ?(jobs = 1) ?mutant ?backends trace =
   let backends =
     match backends with Some l -> l | None -> default_backends ()
   in
@@ -468,16 +467,9 @@ let run ?isa ?(check_every = 16) ?(jobs = 1) ?(cow_mutant = false)
     Mm_par.Par.map ~jobs
       (fun b ->
         Runner.reset_world_state ();
-        (* Arm the injected mutants per task, after the world reset
-           cleared them: each replay domain sees its own copy of the
-           flags. [cow_mutant] makes CortenMM's clone_for_fork skip the
-           parent-side write-protect; [reclaim_mutant] makes the pagers'
-           put_pages skip the dirty writeback, so a page-out loses the
-           page's data token. *)
-        if cow_mutant then
-          Cortenmm.Addr_space.set_mutant_fork_skip_parent_wp true;
-        if reclaim_mutant then
-          Cortenmm.Pager.set_mutant_reclaim_skip_writeback true;
+        (* Arm the mutant per task, after the world reset disarmed it:
+           each replay domain has its own slot. *)
+        Mm_sim.Mutant.arm mutant;
         replay_one ?isa ~check_every b trace)
       backends
   in

@@ -40,8 +40,7 @@ val run :
   ?isa:Mm_hal.Isa.t ->
   ?check_every:int ->
   ?jobs:int ->
-  ?cow_mutant:bool ->
-  ?reclaim_mutant:bool ->
+  ?mutant:Mm_sim.Mutant.t ->
   ?backends:System.backend list ->
   Trace.t ->
   (int, divergence) result
@@ -57,15 +56,13 @@ val run :
     isolation, and a post-fork solo postcondition requires parent and
     child page states to agree over every inherited region.
 
-    [cow_mutant] (default [false]) arms an injected CortenMM fork bug —
-    clone_for_fork skips the parent-side write-protect — which the
-    value model must catch at the exact first child read observing a
-    leaked parent store.
-
     Format-v3 reclaim ops ([mlock]/[munlock]/[pressure]) are
     capability-masked: backends without a page-out daemon skip them,
     and residency is then only compared between backends with reclaim
-    parity. [reclaim_mutant] (default [false]) arms an injected pager
-    bug — put_pages skips the dirty writeback, losing the page's data
-    token at page-out — which the value model must catch at the exact
-    first read observing the lost token. *)
+    parity.
+
+    [mutant] (default none) arms a seeded bug in every replay. The
+    value model must catch {!Mm_sim.Mutant.Fork_skip_parent_wp} at the
+    first child read observing a leaked parent store, and
+    {!Mm_sim.Mutant.Reclaim_skip_writeback} at the first read observing
+    a token lost at page-out. *)

@@ -5,6 +5,7 @@
 
    Only Linux and CortenMM are compared, as in the paper. *)
 
+module Errno = Mm_hal.Errno
 module Perm = Mm_hal.Perm
 module Engine = Mm_sim.Engine
 
@@ -34,14 +35,15 @@ let image_mappings =
 let exec_mappings =
   [ (mib 2, 384); (mib 1, 192); (kib 256, 64); (kib 128, 16) ]
 
-let ok = function Ok v -> v | Error e -> raise (Mm_hal.Errno.Error e)
 
 let populate proc mappings =
   List.iter
     (fun (len, touched) ->
       match proc with
       | P_corten (_, asp) ->
-        let addr = ok (Cortenmm.Mm.mmap_r asp ~len ~perm:Perm.rw ()) in
+        let addr =
+          Errno.ok_exn (Cortenmm.Mm.mmap_r asp ~len ~perm:Perm.rw ())
+        in
         Cortenmm.Mm.touch_range asp ~addr ~len:(touched * 4096) ~write:true
       | P_linux t ->
         let addr = Mm_linux.Linux_mm.mmap t ~len ~perm:Perm.rw () in

@@ -87,10 +87,7 @@ let result ~ops ~cycles =
    alone too: whoever subscribed owns the subscription. *)
 let reset_world_state () =
   Mm_sim.Rcu_s.reset_ids ();
-  Mm_sim.Rcu_s.set_mutant_no_grace_period false;
-  Mm_sim.Rwlock_s.set_mutant_skip_writer_handoff false;
-  Cortenmm.Addr_space.set_mutant_fork_skip_parent_wp false;
-  Cortenmm.Pager.set_mutant_reclaim_skip_writeback false;
+  Mm_sim.Mutant.arm None;
   Cortenmm.File.reset_ids ();
   Cortenmm.Blockdev.reset_ids ();
   Cortenmm.Vm_object.reset_ids ();

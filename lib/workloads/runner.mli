@@ -47,7 +47,7 @@ val stop_collecting : unit -> (string * result) list
 
 val reset_world_state : unit -> unit
 (** Reset every piece of domain-local simulator state a world can
-    observe — monitor hook, mutant flags, RCU callback ids, file/device
+    observe — the armed {!Mm_sim.Mutant}, RCU callback ids, file/device
     ids, the metrics and contention registries (unless a tracing
     session is active, which owns them), result collection and the
     label — so a parallel task's behaviour and reported text are

@@ -184,18 +184,17 @@ let tlb_counters t =
 
 (* -- Exception bridges for drivers that treat failure as fatal -- *)
 
-let ok_exn = function Ok v -> v | Error e -> raise (Errno.Error e)
-let mmap_exn t ?addr ~len ~perm () = ok_exn (mmap t ?addr ~len ~perm ())
-let munmap_exn t ~addr ~len = ok_exn (munmap t ~addr ~len)
-let mprotect_exn t ~addr ~len ~perm = ok_exn (mprotect t ~addr ~len ~perm)
-let touch_exn t ~vaddr ~write = ok_exn (touch t ~vaddr ~write)
+let mmap_exn t ?addr ~len ~perm () = Errno.ok_exn (mmap t ?addr ~len ~perm ())
+let munmap_exn t ~addr ~len = Errno.ok_exn (munmap t ~addr ~len)
+let mprotect_exn t ~addr ~len ~perm = Errno.ok_exn (mprotect t ~addr ~len ~perm)
+let touch_exn t ~vaddr ~write = Errno.ok_exn (touch t ~vaddr ~write)
 
 let touch_range_exn t ~addr ~len ~write =
-  ok_exn (touch_range t ~addr ~len ~write)
+  Errno.ok_exn (touch_range t ~addr ~len ~write)
 
-let fork_exn t = ok_exn (fork t)
-let write_value_exn t ~vaddr ~value = ok_exn (write_value t ~vaddr ~value)
-let read_value_exn t ~vaddr = ok_exn (read_value t ~vaddr)
+let fork_exn t = Errno.ok_exn (fork t)
+let write_value_exn t ~vaddr ~value = Errno.ok_exn (write_value t ~vaddr ~value)
+let read_value_exn t ~vaddr = Errno.ok_exn (read_value t ~vaddr)
 
 (* The feature matrix of the paper's Table 2 (claims of the respective
    papers/systems, reproduced verbatim). *)

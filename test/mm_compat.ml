@@ -3,16 +3,16 @@
    succeed, so an [Error _] is a test bug and raising is the right
    failure mode. *)
 
-let ok = function Ok v -> v | Error e -> raise (Mm_hal.Errno.Error e)
+module Errno = Mm_hal.Errno
 
 let mmap asp ?addr ?backing ?policy ~len ~perm () =
-  ok (Cortenmm.Mm.mmap_r asp ?addr ?backing ?policy ~len ~perm ())
+  Errno.ok_exn (Cortenmm.Mm.mmap_r asp ?addr ?backing ?policy ~len ~perm ())
 
-let munmap asp ~addr ~len = ok (Cortenmm.Mm.munmap_r asp ~addr ~len)
+let munmap asp ~addr ~len = Errno.ok_exn (Cortenmm.Mm.munmap_r asp ~addr ~len)
 
 let mprotect asp ~addr ~len ~perm =
-  ok (Cortenmm.Mm.mprotect_r asp ~addr ~len ~perm)
+  Errno.ok_exn (Cortenmm.Mm.mprotect_r asp ~addr ~len ~perm)
 
-let msync asp ~file = ok (Cortenmm.Mm.msync_r asp ~file)
-let mlock asp ~addr ~len = ok (Cortenmm.Mm.mlock_r asp ~addr ~len)
-let munlock asp ~addr ~len = ok (Cortenmm.Mm.munlock_r asp ~addr ~len)
+let msync asp ~file = Errno.ok_exn (Cortenmm.Mm.msync_r asp ~file)
+let mlock asp ~addr ~len = Errno.ok_exn (Cortenmm.Mm.mlock_r asp ~addr ~len)
+let munlock asp ~addr ~len = Errno.ok_exn (Cortenmm.Mm.munlock_r asp ~addr ~len)

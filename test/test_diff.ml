@@ -2,13 +2,15 @@
    zero divergences across all registered backends, and injected
    semantic mutations (a munmap that does nothing, an mprotect that lies,
    mem_stats that violate their invariants) must be caught with the
-   offending op index. *)
+   offending op index. The table at the end names, for every seeded bug
+   in {!Mm_sim.Mutant}, the checker that catches it. *)
 
 module System = Mm_workloads.System
 module Backend = Mm_workloads.Backend
 module Trace = Mm_workloads.Trace
 module Diff = Mm_workloads.Diff
 module Errno = Mm_hal.Errno
+module Mutant = Mm_sim.Mutant
 
 let check = Alcotest.check
 
@@ -155,14 +157,6 @@ let test_fork_cow_clean () =
   | Ok n -> check Alcotest.int "all ops checked" 6 n
   | Error d -> Alcotest.failf "clean fork trace diverged: %s" (Diff.describe d)
 
-let test_fork_cow_mutant_caught () =
-  match Diff.run ~check_every:1 ~cow_mutant:true cow_trace with
-  | Ok _ -> Alcotest.fail "fork COW mutant not caught"
-  | Error d ->
-    check Alcotest.int "attributed to the child's read" 4 d.Diff.d_op;
-    check Alcotest.string "solo violation on the mutated backend"
-      d.Diff.d_backend_a d.Diff.d_backend_b
-
 (* The masking rules: backends without mprotect legitimately diverge on
    post-mprotect writability, so a Mixed trace across the full registry
    (which pairs linux with radixvm/nros) must still be clean — covered by
@@ -174,6 +168,110 @@ let test_corten_vs_linux_mixed () =
   match Diff.run ~backends:[ linux; corten ] trace with
   | Ok _ -> ()
   | Error d -> Alcotest.failf "diverged: %s" (Diff.describe d)
+
+(* -- The seeded-bug table: every mutant is caught by a named checker --
+
+   The match in [catcher] is exhaustive, so a new mutant does not
+   compile until a checker is named for it. *)
+
+module Schedcheck = Mm_schedcheck.Schedcheck
+module Schedule = Mm_schedcheck.Schedule
+
+(* Schedule exploration must find a violation within 10 seeds, and the
+   minimized schedule must still violate after a file roundtrip. *)
+let caught_by_schedcheck protocol m () =
+  let cfg =
+    {
+      Schedcheck.protocol;
+      cpus = 4;
+      ops_per_cpu = 12;
+      workload_seed = 42;
+      mutant = Some m;
+    }
+  in
+  match Schedcheck.explore ~seeds:10 cfg with
+  | Schedcheck.Clean _ -> Alcotest.fail "mutant not caught within 10 seeds"
+  | Schedcheck.Violation { keys; violations; _ } -> (
+    check Alcotest.bool "violations reported" false (violations = []);
+    let path =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        ("schedcheck_" ^ Mutant.name m ^ ".sched")
+    in
+    Schedule.save (Schedcheck.schedule_of cfg keys) path;
+    match Result.bind (Schedule.load path) Schedcheck.replay_schedule with
+    | Ok [] -> Alcotest.fail "replayed schedule came back clean"
+    | Ok _ -> ()
+    | Error msg -> Alcotest.fail msg)
+
+(* The fork mutant must surface at the child's read of [cow_trace] (op
+   4), as a solo violation on the mutated backend. *)
+let caught_by_oracle_at_child_read m () =
+  match Diff.run ~check_every:1 ~mutant:m cow_trace with
+  | Ok _ -> Alcotest.fail "fork COW mutant not caught"
+  | Error d ->
+    check Alcotest.int "attributed to the child's read" 4 d.Diff.d_op;
+    check Alcotest.string "solo violation on the mutated backend"
+      d.Diff.d_backend_a d.Diff.d_backend_b
+
+(* The reclaim trace the CI gate replays: clean unarmed, divergent armed. *)
+let caught_by_oracle_on_reclaim m () =
+  let trace =
+    Trace.generate ~profile:Trace.Reclaim ~ncpus:2 ~ops_per_cpu:150 ~seed:7
+  in
+  (match Diff.run trace with
+  | Ok _ -> ()
+  | Error d ->
+    Alcotest.failf "unarmed reclaim trace diverged: %s" (Diff.describe d));
+  match Diff.run ~mutant:m trace with
+  | Ok _ -> Alcotest.fail "reclaim mutant not caught"
+  | Error _ -> ()
+
+let catcher : Mutant.t -> string * (unit -> unit) = function
+  | Rw_skip_handoff as m ->
+    ("schedcheck", caught_by_schedcheck Cortenmm.Config.rw m)
+  | Rcu_no_gp as m -> ("schedcheck", caught_by_schedcheck Cortenmm.Config.adv m)
+  | Fork_skip_parent_wp as m -> ("oracle", caught_by_oracle_at_child_read m)
+  | Reclaim_skip_writeback as m -> ("oracle", caught_by_oracle_on_reclaim m)
+
+let test_mutant_names_roundtrip () =
+  List.iter
+    (fun m ->
+      if Mutant.of_string (Mutant.name m) <> Ok m then
+        Alcotest.failf "of_string (name %s) is not the mutant" (Mutant.name m))
+    Mutant.all
+
+let test_mutant_unknown_lists_valid () =
+  match Mutant.of_string "chaos" with
+  | Ok _ -> Alcotest.fail "unknown mutant name accepted"
+  | Error msg ->
+    List.iter
+      (fun m ->
+        let n = Mutant.name m in
+        let rec mem i =
+          i + String.length n <= String.length msg
+          && (String.sub msg i (String.length n) = n || mem (i + 1))
+        in
+        if not (mem 0) then Alcotest.failf "error %S does not list %s" msg n)
+      Mutant.all
+
+let test_reset_disarms () =
+  List.iter
+    (fun m ->
+      Mutant.arm (Some m);
+      check Alcotest.bool (Mutant.name m ^ " armed") true (Mutant.armed m);
+      Mm_workloads.Runner.reset_world_state ();
+      check Alcotest.bool (Mutant.name m ^ " disarmed") false (Mutant.armed m))
+    Mutant.all
+
+let caught_table =
+  List.map
+    (fun m ->
+      let tool, caught = catcher m in
+      Alcotest.test_case
+        (Printf.sprintf "%s by %s" (Mutant.name m) tool)
+        `Quick caught)
+    Mutant.all
 
 let () =
   Alcotest.run "diff-oracle"
@@ -194,11 +292,19 @@ let () =
         [
           Alcotest.test_case "broken munmap caught at op" `Quick
             test_broken_munmap_caught;
-          Alcotest.test_case "fork COW mutant caught at child read" `Quick
-            test_fork_cow_mutant_caught;
           Alcotest.test_case "silent mprotect caught" `Quick
             test_silent_mprotect_caught;
           Alcotest.test_case "stats invariant caught" `Quick
             test_stats_invariant_caught;
+        ] );
+      ("caught", caught_table);
+      ( "mutants",
+        [
+          Alcotest.test_case "of_string inverts name" `Quick
+            test_mutant_names_roundtrip;
+          Alcotest.test_case "unknown name lists the valid ones" `Quick
+            test_mutant_unknown_lists_valid;
+          Alcotest.test_case "reset_world_state disarms" `Quick
+            test_reset_disarms;
         ] );
     ]

@@ -184,14 +184,12 @@ let reduced_fig14_entry =
   {
     Registry.id = "fig14";
     title = "reduced multithreaded microbenchmark sweep";
-    body =
-      Registry.Cells
-        (fun () ->
-          Mm_experiments.Fig_micro.fig14_plan
-            ~systems:
-              [ System.Linux; System.Corten Cortenmm.Config.adv ]
-            ~benches:[ Mm_workloads.Micro.Mmap_pf ]
-            ~cores:[ 1; 2 ] ~iters:5 ());
+    plan =
+      Pack
+        (Mm_experiments.Fig_micro.fig14_plan
+           ~systems:[ System.Linux; System.Corten Cortenmm.Config.adv ]
+           ~benches:[ Mm_workloads.Micro.Mmap_pf ]
+           ~cores:[ 1; 2 ] ~iters:5 ());
   }
 
 let test_cells_identical () =
@@ -211,33 +209,55 @@ let test_cells_identical () =
     then Alcotest.fail "cell labels differ across -j"
   | _ -> Alcotest.fail "expected exactly one task result per run"
 
+(* Six cells whose [i]th returns [i], raising [Boom i] for the listed
+   indexes, rendered by [render]. *)
+let six_cell_entry ?(raising = []) render =
+  {
+    Registry.id = "six";
+    title = "six cells";
+    plan =
+      Pack
+        {
+          Mm_experiments.Plan.cells =
+            List.init 6 (fun i ->
+                Mm_experiments.Plan.cell
+                  ~label:(Printf.sprintf "cell%d" i)
+                  ~weight:(float_of_int i)
+                  (fun () -> if List.mem i raising then raise (Boom i) else i));
+          render;
+        };
+  }
+
 (* A raising cell fails its entry with the lowest-submitted exception,
    exactly as the sequential render would have seen it. *)
 let test_cell_failure_lowest_index () =
-  let entry =
-    {
-      Registry.id = "boom";
-      title = "raising cells";
-      body =
-        Registry.Cells
-          (fun () ->
-            let cells =
-              List.init 6 (fun i ->
-                  Mm_experiments.Plan.cell
-                    ~label:(Printf.sprintf "cell%d" i)
-                    ~weight:(float_of_int i)
-                    (fun () ->
-                      if i = 1 || i = 3 then raise (Boom i) else None))
-            in
-            { Mm_experiments.Plan.cells; render = (fun _ -> ()) });
-    }
-  in
+  let entry = six_cell_entry ~raising:[ 1; 3 ] (fun _ -> ()) in
   List.iter
     (fun jobs ->
       match Driver.run_entries ~jobs [ entry ] with
       | _ -> Alcotest.failf "-j%d: no exception raised" jobs
       | exception Boom i ->
         check int (Printf.sprintf "-j%d first failing cell" jobs) 1 i)
+    [ 1; 4 ]
+
+(* The render must take every cell's value exactly once, in declaration
+   order: taking fewer or more fails the entry. *)
+let test_render_takes_each_value_once () =
+  let render_taking k take =
+    for i = 0 to k - 1 do
+      check int "values in declaration order" i (take ())
+    done
+  in
+  List.iter
+    (fun jobs ->
+      ignore (Driver.run_entries ~jobs [ six_cell_entry (render_taking 6) ]);
+      List.iter
+        (fun k ->
+          let entry = six_cell_entry (render_taking k) in
+          match Driver.run_entries ~jobs [ entry ] with
+          | _ -> Alcotest.failf "-j%d: render took %d of 6 values" jobs k
+          | exception Invalid_argument _ -> ())
+        [ 5; 7 ])
     [ 1; 4 ]
 
 (* -- Byte identity: serving matrix -- *)
@@ -317,7 +337,7 @@ let test_schedcheck_identical () =
       cpus = 3;
       ops_per_cpu = 8;
       workload_seed = 42;
-      mutant = S.M_none;
+      mutant = None;
     }
   in
   outcome_eq "clean"
@@ -329,7 +349,7 @@ let test_schedcheck_identical () =
       cpus = 4;
       ops_per_cpu = 12;
       workload_seed = 42;
-      mutant = S.M_rw_skip_handoff;
+      mutant = Some Mm_sim.Mutant.Rw_skip_handoff;
     }
   in
   outcome_eq "mutant"
@@ -359,6 +379,8 @@ let () =
             test_cells_identical;
           Alcotest.test_case "cell failure" `Quick
             test_cell_failure_lowest_index;
+          Alcotest.test_case "render takes each value once" `Quick
+            test_render_takes_each_value_once;
           Alcotest.test_case "serve matrix" `Slow test_serve_matrix_identical;
           Alcotest.test_case "differential oracle" `Slow
             test_oracle_identical;

@@ -404,51 +404,46 @@ let test_radixvm_memory_overhead () =
 
 let fig1_golden_digest = "410ea96e0ba6e825b0134f3917bd1c6e"
 
-let test_fig1_golden_digest () =
-  let e =
-    match Mm_experiments.Registry.find "fig1" with
-    | Ok e -> e
-    | Error msg -> Alcotest.fail msg
-  in
-  Mm_workloads.Runner.start_collecting ();
-  Mm_workloads.Runner.set_label e.Mm_experiments.Registry.id;
-  Mm_experiments.Registry.run_entry e;
-  let results = Mm_workloads.Runner.stop_collecting () in
-  check Alcotest.bool "fig1 produced results" true (results <> []);
+let fig1_entry () =
+  match Mm_experiments.Registry.find "fig1" with
+  | Ok e -> e
+  | Error msg -> Alcotest.fail msg
+
+let results_digest results =
   let buf = Buffer.create 1024 in
   List.iter
     (fun (label, (r : Runner.result)) ->
       Printf.bprintf buf "%s %d %d %.6f\n" label r.Runner.ops r.Runner.cycles
         r.Runner.ops_per_sec)
     results;
-  check Alcotest.string "fig1 result-table digest" fig1_golden_digest
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_fig1_golden_digest () =
+  match
+    Mm_experiments.Driver.run_entries ~collect:true ~jobs:1 [ fig1_entry () ]
+  with
+  | [ t ] ->
+    let results = t.Mm_experiments.Driver.t_results in
+    check Alcotest.bool "fig1 produced results" true (results <> []);
+    check Alcotest.string "fig1 result-table digest" fig1_golden_digest
+      (results_digest results)
+  | _ -> Alcotest.fail "expected one task result"
 
 (* The same digest must come out of the parallel driver: sharding
    experiments across domains may never change simulated results. Two
    copies of fig1 on two domains also checks runs are independent of
    which domain hosts them. *)
 let test_fig1_golden_digest_parallel () =
-  let e =
-    match Mm_experiments.Registry.find "fig1" with
-    | Ok e -> e
-    | Error msg -> Alcotest.fail msg
-  in
+  let e = fig1_entry () in
   let tasks =
     Mm_experiments.Driver.run_entries ~collect:true ~jobs:2 [ e; e ]
   in
   List.iteri
     (fun i (t : Mm_experiments.Driver.task_result) ->
-      let buf = Buffer.create 1024 in
-      List.iter
-        (fun (label, (r : Runner.result)) ->
-          Printf.bprintf buf "%s %d %d %.6f\n" label r.Runner.ops
-            r.Runner.cycles r.Runner.ops_per_sec)
-        t.Mm_experiments.Driver.t_results;
       check Alcotest.string
         (Printf.sprintf "fig1 digest, parallel task %d" i)
         fig1_golden_digest
-        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+        (results_digest t.Mm_experiments.Driver.t_results))
     tasks
 
 let () =

@@ -172,6 +172,12 @@ let write_wallclock_json ~path ~jobs ~elapsed_seq ~elapsed_par
   let speedup = if elapsed_par > 0. then elapsed_seq /. elapsed_par else 1.0 in
   let max_cell_label, max_cell_seq = max_cell seq in
   let _, max_cell_par = max_cell par in
+  (* Whole-process high-water mark of the major heap, every pass and
+     domain included. *)
+  let peak_heap_mb =
+    float ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
+    /. 1048576.
+  in
   Json.write_file ~path
     (Json.Obj
        [
@@ -202,6 +208,8 @@ let write_wallclock_json ~path ~jobs ~elapsed_seq ~elapsed_par
                                      Json.Float cs.Driver.ct_seconds );
                                    ( "seconds_par",
                                      Json.Float cp.Driver.ct_seconds );
+                                   ( "major_mb",
+                                     Json.Float cs.Driver.ct_major_mb );
                                  ])
                              s.Driver.t_cells p.Driver.t_cells) );
                     ])
@@ -214,6 +222,7 @@ let write_wallclock_json ~path ~jobs ~elapsed_seq ~elapsed_par
          ("max_cell_label", Json.String max_cell_label);
          ("max_cell_seconds_seq", Json.Float max_cell_seq);
          ("max_cell_seconds_par", Json.Float max_cell_par);
+         ("peak_heap_mb", Json.Float peak_heap_mb);
        ]);
   Printf.printf "## Wall-clock per experiment driver (-j %d)\n\n" jobs;
   Printf.printf "  %-10s %12s %12s %7s\n" "id" "seq (s)"
@@ -229,6 +238,7 @@ let write_wallclock_json ~path ~jobs ~elapsed_seq ~elapsed_par
     elapsed_seq elapsed_par speedup;
   Printf.printf "  critical path: %.3fs in %s (max cell vs %.3fs total)\n"
     max_cell_seq max_cell_label elapsed_seq;
+  Printf.printf "  peak heap: %.1f MB\n" peak_heap_mb;
   Printf.printf "wrote wall-clock timings to %s\n%!" path
 
 let write_results_json ~path results =

@@ -9,9 +9,12 @@
                                  --wallclock shape: "jobs", a "wallclock"
                                  array of {id, seconds_seq, seconds_par,
                                  speedup, cells}, per-cell seconds that
-                                 sum to the entry seconds, the seq/par
-                                 totals and the critical-path summary
-                                 (max_cell_seconds_seq/_par) *)
+                                 sum to the entry seconds, per-cell
+                                 major_mb, the seq/par totals, the
+                                 critical-path summary
+                                 (max_cell_seconds_seq/_par) and
+                                 peak_heap_mb; host-memory fields must be
+                                 finite and non-negative *)
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
@@ -54,6 +57,15 @@ let check_wallclock json =
       "total_seconds_seq"; "total_seconds_par"; "speedup";
       "max_cell_seconds_seq"; "max_cell_seconds_par";
     ];
+  let megabytes ~what v =
+    match v with
+    | Some (Int _ | Float _) ->
+      let mb = as_float v in
+      if not (Float.is_finite mb && mb >= 0.) then
+        fail "%s is not a finite non-negative number (%g)" what mb
+    | _ -> fail "%s is missing or non-numeric" what
+  in
+  megabytes ~what:"peak_heap_mb" (member "peak_heap_mb" json);
   (match member "max_cell_label" json with
   | Some (String _) -> ()
   | _ -> fail "missing string \"max_cell_label\"");
@@ -93,6 +105,9 @@ let check_wallclock json =
                       fail "wallclock[%d].cells[%d] missing or non-numeric %S"
                         i j field)
                   [ "seconds_seq"; "seconds_par" ];
+                megabytes
+                  ~what:(Printf.sprintf "wallclock[%d].cells[%d].major_mb" i j)
+                  (member "major_mb" cell);
                 sum := !sum +. as_float (member "seconds_seq" cell))
               cells;
             (* Entry seconds are defined as the sum of its cell seconds

@@ -281,7 +281,14 @@ let sweep_cmd =
   let high =
     Arg.(value & flag & info [ "high" ] ~doc:"High-contention variant.")
   in
-  let run bench high systems trace report =
+  let cores =
+    Arg.(
+      value
+      & opt (list ~sep:',' int) [ 1; 2; 4; 8; 16; 32; 64 ]
+      & info [ "cores" ] ~docv:"LIST"
+          ~doc:"Comma-separated simulated core counts to sweep.")
+  in
+  let run bench high cores systems trace report =
     with_obs ~trace ~report @@ fun () ->
     let contention =
       if high then Mm_workloads.Micro.High else Mm_workloads.Micro.Low
@@ -308,12 +315,13 @@ let sweep_cmd =
                    Mm_util.Tablefmt.fmt_si r.Mm_workloads.Runner.ops_per_sec
                  | None -> "n/a")
                systems)
-        [ 1; 2; 4; 8; 16; 32; 64 ]
+        cores
     in
     Mm_util.Tablefmt.print ~header rows
   in
   Cmd.v (Cmd.info "sweep" ~doc)
-    Term.(const run $ bench $ high $ systems_arg $ obs_trace $ obs_report)
+    Term.(
+      const run $ bench $ high $ cores $ systems_arg $ obs_trace $ obs_report)
 
 let trace_cmd =
   let doc =

@@ -11,6 +11,18 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+echo "== host memory: NrOS low/unmap c16 cell under a 2.5 GB address-space cap =="
+# Regression gate for host bytes per simulated page: NrOS backs each
+# simulated CPU's 1 GiB arena eagerly on two replicas, so this one cell
+# maps 4M pages. It peaks near 1.1 GB RSS and passes a 1.4 GB cap; with
+# eagerly built per-frame locks and boxed PTE words it fails even at 3 GB.
+# The built executable runs directly so the cap applies to it alone.
+( ulimit -v 2500000
+  ./_build/default/bin/mmrepro.exe sweep --bench unmap --systems nros \
+    --cores 16 ) > /tmp/check_nros_c16.out 2>&1 \
+  || { cat /tmp/check_nros_c16.out; echo "nros c16 cell exceeded 2.5 GB"; exit 1; }
+tail -n 1 /tmp/check_nros_c16.out
+
 echo "== bench smoke: fig13 --json/--trace/--wallclock =="
 dune exec bench/main.exe -- --only fig13 --json /tmp/b.json \
   --trace /tmp/t.json --wallclock --wallclock-out /tmp/wallclock.json \

@@ -94,9 +94,9 @@ let create ?va kernel (cfg : Config.t) =
   (* Name the root PT page's locks: the root is the protocol's global
      serialization point, so it dominates contention reports. *)
   let root_frame = (Pt.root t.pt).Pt.frame in
-  Mm_sim.Mutex_s.set_name root_frame.Mm_phys.Frame.lock
+  Mm_sim.Mutex_s.set_name (Mm_phys.Frame.lock root_frame)
     (Printf.sprintf "asp%d.root_pt" t.id);
-  Mm_sim.Rwlock_s.set_name root_frame.Mm_phys.Frame.rwlock
+  Mm_sim.Rwlock_s.set_name (Mm_phys.Frame.rwlock root_frame)
     (Printf.sprintf "asp%d.root_pt" t.id);
   t
 
@@ -221,7 +221,7 @@ let rw_lock t ~lo ~hi =
   let rec descend (cur : node) path =
     match covering_slot t cur ~lo ~hi with
     | Some idx -> (
-      Mm_sim.Rwlock_s.read_lock cur.Pt.frame.Mm_phys.Frame.rwlock;
+      Mm_sim.Rwlock_s.read_lock (Mm_phys.Frame.rwlock cur.Pt.frame);
       match
         match Pt.get t.pt cur idx with
         | Pte.Table { pfn } -> Pt.node_of_pfn t.pt pfn
@@ -231,11 +231,11 @@ let rw_lock t ~lo ~hi =
       | None ->
         (* [cur] is the lowest existing covering page: trade the reader
            lock for the writer lock (Fig 5 L7-8). *)
-        Mm_sim.Rwlock_s.read_unlock cur.Pt.frame.Mm_phys.Frame.rwlock;
-        Mm_sim.Rwlock_s.write_lock cur.Pt.frame.Mm_phys.Frame.rwlock;
+        Mm_sim.Rwlock_s.read_unlock (Mm_phys.Frame.rwlock cur.Pt.frame);
+        Mm_sim.Rwlock_s.write_lock (Mm_phys.Frame.rwlock cur.Pt.frame);
         (cur, List.rev path))
     | None ->
-      Mm_sim.Rwlock_s.write_lock cur.Pt.frame.Mm_phys.Frame.rwlock;
+      Mm_sim.Rwlock_s.write_lock (Mm_phys.Frame.rwlock cur.Pt.frame);
       (cur, List.rev path)
   in
   let covering, read_path = descend (Pt.root t.pt) [] in
@@ -274,11 +274,11 @@ let adv_lock t ~lo ~hi =
       | None -> cur
     in
     let cover = descend (Pt.root t.pt) in
-    Mm_sim.Mutex_s.lock cover.Pt.frame.Mm_phys.Frame.lock;
+    Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock cover.Pt.frame);
     if cover.Pt.frame.Mm_phys.Frame.stale then begin
       (* Race with a concurrent unmap that removed this PT page: retry
          (Fig 6 L10-13). *)
-      Mm_sim.Mutex_s.unlock cover.Pt.frame.Mm_phys.Frame.lock;
+      Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock cover.Pt.frame);
       Mm_sim.Rcu_s.read_unlock rcu;
       t.stale_retries <- t.stale_retries + 1;
       if Mm_obs.Bus.on () then begin
@@ -300,7 +300,7 @@ let adv_lock t ~lo ~hi =
             | Pte.Table { pfn } -> (
               match Pt.node_of_pfn t.pt pfn with
               | Some child ->
-                Mm_sim.Mutex_s.lock child.Pt.frame.Mm_phys.Frame.lock;
+                Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock child.Pt.frame);
                 locked := child :: !locked;
                 dfs child
               | None -> invariant ~ctx:"adv_lock" "dangling table entry")
@@ -433,16 +433,16 @@ let commit c =
   (match t.cfg.Config.protocol with
   | Config.Adv ->
     List.iter
-      (fun (n : node) -> Mm_sim.Mutex_s.unlock n.Pt.frame.Mm_phys.Frame.lock)
+      (fun (n : node) -> Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock n.Pt.frame))
       c.locked
   | Config.Rw ->
     List.iter
       (fun (n : node) ->
-        Mm_sim.Rwlock_s.write_unlock n.Pt.frame.Mm_phys.Frame.rwlock)
+        Mm_sim.Rwlock_s.write_unlock (Mm_phys.Frame.rwlock n.Pt.frame))
       c.locked;
     List.iter
       (fun (n : node) ->
-        Mm_sim.Rwlock_s.read_unlock n.Pt.frame.Mm_phys.Frame.rwlock)
+        Mm_sim.Rwlock_s.read_unlock (Mm_phys.Frame.rwlock n.Pt.frame))
       (List.rev c.read_path))
 
 let with_lock t ~lo ~hi f =
@@ -506,7 +506,7 @@ let ensure_child c (parent : node) idx =
     let child = Pt.ensure_child t.pt parent idx in
     (match t.cfg.Config.protocol with
     | Config.Adv ->
-      Mm_sim.Mutex_s.lock child.Pt.frame.Mm_phys.Frame.lock;
+      Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock child.Pt.frame);
       c.locked <- child :: c.locked
     | Config.Rw ->
       (* Reachable only through the write-locked covering page. *)
@@ -581,7 +581,7 @@ let free_child c (parent : node) idx (child : node) =
     List.iter
       (fun (n : node) ->
         n.Pt.frame.Mm_phys.Frame.stale <- true;
-        Mm_sim.Mutex_s.unlock n.Pt.frame.Mm_phys.Frame.lock;
+        Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock n.Pt.frame);
         c.locked <- List.filter (fun x -> not (x == n)) c.locked)
       nodes;
     Mm_sim.Rcu_s.defer t.kernel.Kernel.rcu (fun () ->
@@ -721,7 +721,7 @@ let split_huge c (node : node) idx (l : Pte.t) =
     let child = Pt.alloc_node t.pt ~level:(node.Pt.level - 1) in
     (match t.cfg.Config.protocol with
     | Config.Adv ->
-      Mm_sim.Mutex_s.lock child.Pt.frame.Mm_phys.Frame.lock;
+      Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock child.Pt.frame);
       c.locked <- child :: c.locked
     | Config.Rw -> ());
     let sub_bytes = Geometry.coverage geo ~level:(node.Pt.level - 1) in
@@ -1007,7 +1007,7 @@ let rec protect_range c (node : node) ~lo ~hi perm =
       | Pte.Leaf ({ pfn = _; _ } as l) ->
         if full then begin
           rewrite_live_leaf t node idx
-            (Pte.Leaf { l with perm = { perm with Perm.cow = l.perm.Perm.cow } });
+            (Pte.Leaf { l with perm = Perm.with_cow perm l.perm.Perm.cow });
           let geo = t.kernel.Kernel.isa.Isa.geo in
           note_tlb c ~vaddr:e_lo
             ~pages:(Geometry.pages_per_entry geo ~level:node.Pt.level);
@@ -1246,7 +1246,7 @@ let clone_for_fork pc cc =
           let cchild = Pt.alloc_node ct.pt ~level:(cn.Pt.level - 1) in
           (match ct.cfg.Config.protocol with
           | Config.Adv ->
-            Mm_sim.Mutex_s.lock cchild.Pt.frame.Mm_phys.Frame.lock;
+            Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock cchild.Pt.frame);
             cc.locked <- cchild :: cc.locked
           | Config.Rw -> ());
           Pt.link_child ct.pt cn idx cchild;

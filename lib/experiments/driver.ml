@@ -27,6 +27,7 @@ module Par = Mm_par.Par
 type cell_time = {
   ct_label : string;
   ct_seconds : float; (* wall-clock of this cell on its worker domain *)
+  ct_major_mb : float; (* major-heap MB it allocated on that domain *)
 }
 
 type task_result = {
@@ -77,6 +78,10 @@ let prepare ~collect (e : Registry.entry) =
      below reads it on the calling domain. *)
   let values = Array.make n None in
   let run_cell i (c : _ Plan.cell) () =
+    (* Collect the previous cell's dead world before building this one:
+       under the lazy pacing above, a 2 GB world left unswept beside a
+       4 GB one is what pushed a sequential fig14 past 8 GB. *)
+    Gc.full_major ();
     Runner.reset_world_state ();
     if collect then Runner.start_collecting ();
     Runner.set_label e.id;
@@ -135,7 +140,13 @@ let assemble (p : prepared) (pieces : piece Par.timed list) =
     t_seconds = List.fold_left (fun a t -> a +. t.Par.seconds) 0.0 pieces;
     t_cells =
       List.map2
-        (fun ct_label t -> { ct_label; ct_seconds = t.Par.seconds })
+        (fun ct_label t ->
+          {
+            ct_label;
+            ct_seconds = t.Par.seconds;
+            ct_major_mb =
+              t.Par.major_words *. float (Sys.word_size / 8) /. 1048576.;
+          })
         p.p_labels pieces;
   }
 

@@ -11,6 +11,9 @@
 type cell_time = {
   ct_label : string;  (** the cell's declared label *)
   ct_seconds : float;  (** wall-clock of this cell on its worker domain *)
+  ct_major_mb : float;
+      (** MB (2^20 bytes) the cell allocated in the major heap, promoted
+          words included, measured on its worker domain *)
 }
 
 type task_result = {

@@ -1,7 +1,9 @@
 (** Access permissions of a virtual page, including the software
-    copy-on-write marker and the Intel MPK protection-key tag. *)
+    copy-on-write marker and the Intel MPK protection-key tag. Values are
+    interned: {!make} returns one shared record per distinct permission,
+    so equal permissions are physically equal. *)
 
-type t = {
+type t = private {
   read : bool;
   write : bool;
   execute : bool;

@@ -106,7 +106,7 @@ let clear_pt_range t ~lo ~hi =
     Pt.iter_range t.pt node ~lo ~hi (fun idx sub_lo sub_hi ->
         match Pt.get_uncharged t.pt node idx with
         | Pte.Leaf _ when node.Pt.level = 1 ->
-          Mm_sim.Mutex_s.lock node.Pt.frame.Mm_phys.Frame.lock;
+          Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock node.Pt.frame);
           (match Pt.get t.pt node idx with
           | Pte.Leaf { pfn; _ } ->
             Pt.set t.pt node idx Pte.Absent;
@@ -121,7 +121,7 @@ let clear_pt_range t ~lo ~hi =
             end;
             unmapped := (sub_lo / ps) :: !unmapped
           | Pte.Absent | Pte.Table _ -> ());
-          Mm_sim.Mutex_s.unlock node.Pt.frame.Mm_phys.Frame.lock
+          Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock node.Pt.frame)
         | Pte.Leaf _ ->
           failwith "linux baseline: huge leaves not used"
         | Pte.Table { pfn } -> (
@@ -203,10 +203,10 @@ let mprotect t ~addr ~len ~perm =
     Pt.iter_range t.pt node ~lo ~hi (fun idx sub_lo sub_hi ->
         match Pt.get_uncharged t.pt node idx with
         | Pte.Leaf l when node.Pt.level = 1 ->
-          Mm_sim.Mutex_s.lock node.Pt.frame.Mm_phys.Frame.lock;
+          Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock node.Pt.frame);
           Pt.set t.pt node idx
-            (Pte.Leaf { l with perm = { perm with Perm.cow = l.perm.Perm.cow } });
-          Mm_sim.Mutex_s.unlock node.Pt.frame.Mm_phys.Frame.lock;
+            (Pte.Leaf { l with perm = Perm.with_cow perm l.perm.Perm.cow });
+          Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock node.Pt.frame);
           vpns := (sub_lo / ps) :: !vpns
         | Pte.Leaf _ -> failwith "linux baseline: huge leaves not used"
         | Pte.Table { pfn } -> (
@@ -263,7 +263,7 @@ let page_fault t ~vaddr ~write =
       in
       let leaf = down (Pt.root t.pt) in
       let idx = Pt.index t.pt ~level:1 ~vaddr in
-      Mm_sim.Mutex_s.lock leaf.Pt.frame.Mm_phys.Frame.lock;
+      Mm_sim.Mutex_s.lock (Mm_phys.Frame.lock leaf.Pt.frame);
       let outcome =
         match Pt.get t.pt leaf idx with
         | Pte.Leaf { pfn; perm; _ } ->
@@ -316,7 +316,7 @@ let page_fault t ~vaddr ~write =
          atomic on a shared mm cache line. *)
       charge Mm_sim.Cost.linux_fault_accounting;
       if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.Line.rmw t.stats_line;
-      Mm_sim.Mutex_s.unlock leaf.Pt.frame.Mm_phys.Frame.lock;
+      Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock leaf.Pt.frame);
       Mm_sim.Rwlock_s.read_unlock vma.Vma.vma_lock;
       outcome
     end

@@ -29,7 +29,7 @@
    condition for result hand-off. Tasks here are whole simulation worlds
    (milliseconds to minutes), so hand-off cost is irrelevant. *)
 
-type 'a timed = { value : 'a; seconds : float }
+type 'a timed = { value : 'a; seconds : float; major_words : float }
 
 type 'a slot = ('a timed, exn * Printexc.raw_backtrace) result
 
@@ -48,10 +48,21 @@ let jobs_of_string s =
       (Printf.sprintf "invalid jobs count %d (must be at least 1)" n)
   | Some n -> Ok n
 
+(* [Gc.counters] is per domain (unlike [Gc.quick_stat], which sums every
+   domain in OCaml 5), so the delta is this task's own major
+   allocation, up to what sits in the minor heap at either end. *)
+let major_words () =
+  let _, _, major = Gc.counters () in
+  major
+
 let timed_call f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Unix.gettimeofday () and w0 = major_words () in
   let value = f () in
-  { value; seconds = Unix.gettimeofday () -. t0 }
+  {
+    value;
+    seconds = Unix.gettimeofday () -. t0;
+    major_words = major_words () -. w0;
+  }
 
 (* [order] is a permutation of [0 .. n-1]: the order in which workers
    *claim* tasks. It exists purely as a scheduling hint (start the

@@ -7,9 +7,11 @@
     everything inside the thunk (all simulator globals are
     domain-local; see [Mm_workloads.Runner.reset_world_state]). *)
 
-type 'a timed = { value : 'a; seconds : float }
+type 'a timed = { value : 'a; seconds : float; major_words : float }
 (** A task's result plus the wall-clock seconds it spent in its worker
-    (host-side timing only — virtual time is unaffected). *)
+    and the words it allocated in the major heap (promotions included)
+    on that worker's domain (host-side only — virtual time is
+    unaffected). *)
 
 val available_cores : unit -> int
 (** [Domain.recommended_domain_count ()]. *)

@@ -10,9 +10,10 @@
    lazily materialized chunks, so the sparse 2^40-pfn space costs nothing
    until touched while the fault path's descriptor lookup is an array
    index instead of a hash probe. A one-entry chunk cache covers the
-   spatial locality of buddy-allocated pfns. Descriptors are still
-   created on first access, so creation order (and the deterministic ids
-   handed to their locks) is unchanged. *)
+   spatial locality of buddy-allocated pfns. An empty slot holds
+   {!Frame.vacant} rather than an option, so a descriptor costs no extra
+   box. Descriptors are still created on first access, so creation order
+   (and the deterministic ids reserved for their locks) is unchanged. *)
 
 let chunk_bits = 10
 let chunk_mask = (1 lsl chunk_bits) - 1
@@ -20,9 +21,9 @@ let chunk_mask = (1 lsl chunk_bits) - 1
 type t = {
   buddies : Buddy.t array; (* one per NUMA node *)
   node_span : int; (* pfns per node *)
-  chunks : (int, Frame.t option array) Hashtbl.t; (* chunk index -> slots *)
+  chunks : (int, Frame.t array) Hashtbl.t; (* chunk index -> slots *)
   mutable cached_cidx : int; (* last chunk touched, -1 for none *)
-  mutable cached_chunk : Frame.t option array;
+  mutable cached_chunk : Frame.t array;
   page_size : int;
   mutable counts : int array; (* frames per Frame.kind *)
   mutable extra_bytes : int array; (* sub-page kernel allocations per kind *)
@@ -64,7 +65,7 @@ let chunk t cidx =
       match Hashtbl.find_opt t.chunks cidx with
       | Some c -> c
       | None ->
-        let c = Array.make (chunk_mask + 1) None in
+        let c = Array.make (chunk_mask + 1) Frame.vacant in
         Hashtbl.replace t.chunks cidx c;
         c
     in
@@ -76,12 +77,19 @@ let chunk t cidx =
 let frame t pfn =
   let c = chunk t (pfn lsr chunk_bits) in
   let slot = pfn land chunk_mask in
-  match c.(slot) with
-  | Some f -> f
-  | None ->
+  let f = c.(slot) in
+  if f != Frame.vacant then f
+  else begin
     let f = Frame.make ~pfn in
-    c.(slot) <- Some f;
+    c.(slot) <- f;
     f
+  end
+
+(* Every descriptor materialized so far, in no particular order. *)
+let iter_frames t f =
+  Hashtbl.iter
+    (fun _ c -> Array.iter (fun fr -> if fr != Frame.vacant then f fr) c)
+    t.chunks
 
 (* Allocator observability: splits/merges deltas around the buddy call,
    recorded only while something observes the bus, so unobserved runs

@@ -13,6 +13,9 @@ val node_of_pfn : t -> int -> int
 val frame : t -> int -> Frame.t
 (** Descriptor of a pfn (materialized on first use). *)
 
+val iter_frames : t -> (Frame.t -> unit) -> unit
+(** Visit every descriptor materialized so far (order unspecified). *)
+
 val alloc : t -> kind:Frame.kind -> ?order:int -> ?node:int -> unit -> Frame.t
 (** Allocate [2^order] contiguous frames of the given kind on a NUMA node
     (default 0); returns the head frame's descriptor. *)

@@ -2,12 +2,16 @@
 
    This is the hardware-level structure every system in the reproduction
    programs: a multi-level radix tree of page-table pages whose entries are
-   raw 64-bit words in the current ISA's format. Every write encodes and
-   immediately decodes the stored word into a per-node mirror of [Pte.t]
-   values, so the HAL is genuinely on the access path (as in CortenMM's
-   Rust implementation) while reads serve the mirror — one decode per
-   store instead of one per walk step, with identical results because the
-   mirror always holds [decode (encode pte)].
+   raw 64-bit words in the current ISA's format, stored unboxed in one
+   [Bytes.t] per node (8 host bytes a slot, as on the hardware). Every
+   write encodes and immediately decodes the stored word into a per-node
+   mirror of [Pte.t] values, so the HAL is genuinely on the access path
+   (as in CortenMM's Rust implementation) while reads serve the mirror —
+   one decode per store instead of one per walk step, with identical
+   results because the mirror always holds [decode (encode pte)]. The
+   mirror stays because walks, scans and fork read far more often than
+   they write; decoded leaves share {!Perm.t} records, so a mirrored leaf
+   costs its [Pte.Leaf] block and nothing more.
 
    Each node is backed by a physical frame from {!Mm_phys.Phys}; the
    frame's descriptor carries the per-PT-page lock and stale flag the
@@ -25,8 +29,8 @@ open Mm_hal
 type 'm node = {
   frame : Mm_phys.Frame.t;
   level : int;
-  entries : int64 array;
-  decoded : Pte.t array; (* mirror: decoded.(i) = decode entries.(i) *)
+  entries : Bytes.t; (* raw word [i] at byte offset [8 * i] *)
+  decoded : Pte.t array; (* mirror: decoded.(i) = decode (raw i) *)
   mutable present : int; (* number of present entries *)
   mutable parent : ('m node * int) option;
   mutable base : int; (* base vaddr of the node's coverage, set at link *)
@@ -53,6 +57,14 @@ let write_line (f : Mm_phys.Frame.t) =
   if Mm_sim.Engine.in_fiber () then
     Mm_sim.Engine.Line.write f.Mm_phys.Frame.line
 
+let new_entries geo = Bytes.make (Geometry.entries geo * 8) '\000'
+let raw node idx = Bytes.get_int64_ne node.entries (idx * 8)
+
+(* Store a raw word and its decoded mirror. *)
+let store t node idx raw =
+  Bytes.set_int64_ne node.entries (idx * 8) raw;
+  node.decoded.(idx) <- Isa.decode t.isa ~level:node.level raw
+
 let alloc_node t ~level =
   charge Mm_sim.Cost.pt_page_init;
   let frame = Mm_phys.Phys.alloc t.phys ~kind:Mm_phys.Frame.Pt_page () in
@@ -60,7 +72,7 @@ let alloc_node t ~level =
     {
       frame;
       level;
-      entries = Array.make (Geometry.entries t.isa.Isa.geo) 0L;
+      entries = new_entries t.isa.Isa.geo;
       decoded = Array.make (Geometry.entries t.isa.Isa.geo) Pte.Absent;
       present = 0;
       parent = None;
@@ -80,7 +92,7 @@ let create phys isa =
     {
       frame;
       level = isa.Isa.geo.Geometry.levels;
-      entries = Array.make (Geometry.entries isa.Isa.geo) 0L;
+      entries = new_entries isa.Isa.geo;
       decoded = Array.make (Geometry.entries isa.Isa.geo) Pte.Absent;
       present = 0;
       parent = None;
@@ -124,11 +136,9 @@ let set t node idx pte =
   charge Mm_sim.Cost.pte_write;
   write_line node.frame;
   let old = node.decoded.(idx) in
-  let raw = Isa.encode t.isa ~level:node.level pte in
-  node.entries.(idx) <- raw;
   (* Re-decode the stored word rather than caching [pte] itself, so reads
      observe exactly what the raw encoding preserves. *)
-  node.decoded.(idx) <- Isa.decode t.isa ~level:node.level raw;
+  store t node idx (Isa.encode t.isa ~level:node.level pte);
   (match (Pte.is_present old, Pte.is_present node.decoded.(idx)) with
   | false, true -> node.present <- node.present + 1
   | true, false -> node.present <- node.present - 1
@@ -185,12 +195,9 @@ let ensure_child t node idx =
 let set_accessed t node idx =
   match node.decoded.(idx) with
   | Pte.Leaf { pfn; perm; accessed = false; dirty; global } ->
-    let raw =
-      Isa.encode t.isa ~level:node.level
-        (Pte.Leaf { pfn; perm; accessed = true; dirty; global })
-    in
-    node.entries.(idx) <- raw;
-    node.decoded.(idx) <- Isa.decode t.isa ~level:node.level raw
+    store t node idx
+      (Isa.encode t.isa ~level:node.level
+         (Pte.Leaf { pfn; perm; accessed = true; dirty; global }))
   | Pte.Leaf _ | Pte.Absent | Pte.Table _ -> ()
 
 (* The clock hand's reference-bit clear (Linux's
@@ -204,11 +211,8 @@ let clear_accessed t node idx =
   write_line node.frame;
   match node.decoded.(idx) with
   | Pte.Leaf ({ accessed = true; _ } as l) ->
-    let raw =
-      Isa.encode t.isa ~level:node.level (Pte.Leaf { l with accessed = false })
-    in
-    node.entries.(idx) <- raw;
-    node.decoded.(idx) <- Isa.decode t.isa ~level:node.level raw;
+    store t node idx
+      (Isa.encode t.isa ~level:node.level (Pte.Leaf { l with accessed = false }));
     true
   | Pte.Leaf _ | Pte.Absent | Pte.Table _ -> false
 
@@ -347,41 +351,40 @@ let check_well_formed t =
     if node.frame.Mm_phys.Frame.kind <> Mm_phys.Frame.Pt_page then
       fail "node %#x frame is not a PT page" node.frame.Mm_phys.Frame.pfn;
     let present = ref 0 in
-    Array.iteri
-      (fun idx raw ->
-        let pte = Isa.decode t.isa ~level:node.level raw in
-        if pte <> node.decoded.(idx) then
-          fail "stale decode mirror (node %#x idx %d)"
+    for idx = 0 to entries_per_node t - 1 do
+      let pte = Isa.decode t.isa ~level:node.level (raw node idx) in
+      if pte <> node.decoded.(idx) then
+        fail "stale decode mirror (node %#x idx %d)"
+          node.frame.Mm_phys.Frame.pfn idx;
+      match pte with
+      | Pte.Absent -> ()
+      | Pte.Leaf _ ->
+        incr present;
+        if node.level > 3 then
+          fail "huge leaf at level %d (node %#x idx %d)" node.level
+            node.frame.Mm_phys.Frame.pfn idx
+      | Pte.Table { pfn } -> (
+        incr present;
+        if node.level = 1 then
+          fail "table entry at leaf level (node %#x idx %d)"
             node.frame.Mm_phys.Frame.pfn idx;
-        match pte with
-        | Pte.Absent -> ()
-        | Pte.Leaf _ ->
-          incr present;
-          if node.level > 3 then
-            fail "huge leaf at level %d (node %#x idx %d)" node.level
-              node.frame.Mm_phys.Frame.pfn idx
-        | Pte.Table { pfn } -> (
-          incr present;
-          if node.level = 1 then
-            fail "table entry at leaf level (node %#x idx %d)"
-              node.frame.Mm_phys.Frame.pfn idx;
-          match node_of_pfn t pfn with
-          | None ->
-            fail "entry points to unknown PT page %#x (node %#x idx %d)" pfn
-              node.frame.Mm_phys.Frame.pfn idx
-          | Some c ->
-            (* Child level relation: exactly one below (Fig 12 L22). *)
-            if c.level <> node.level - 1 then
-              fail "child level %d under level %d" c.level node.level;
-            (match c.parent with
-            | Some (p, pidx)
-              when p == node && pidx = idx ->
-              ()
-            | _ -> fail "child %#x has wrong parent link" pfn);
-            if c.base <> node.base + (idx * entry_coverage t node) then
-              fail "child %#x has stale base %#x" pfn c.base;
-            go c))
-      node.entries;
+        match node_of_pfn t pfn with
+        | None ->
+          fail "entry points to unknown PT page %#x (node %#x idx %d)" pfn
+            node.frame.Mm_phys.Frame.pfn idx
+        | Some c ->
+          (* Child level relation: exactly one below (Fig 12 L22). *)
+          if c.level <> node.level - 1 then
+            fail "child level %d under level %d" c.level node.level;
+          (match c.parent with
+          | Some (p, pidx)
+            when p == node && pidx = idx ->
+            ()
+          | _ -> fail "child %#x has wrong parent link" pfn);
+          if c.base <> node.base + (idx * entry_coverage t node) then
+            fail "child %#x has stale base %#x" pfn c.base;
+          go c)
+    done;
     if !present <> node.present then
       fail "present count %d <> actual %d (node %#x)" node.present !present
         node.frame.Mm_phys.Frame.pfn

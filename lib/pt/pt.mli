@@ -7,8 +7,8 @@ open Mm_hal
 type 'm node = {
   frame : Mm_phys.Frame.t;
   level : int;
-  entries : int64 array;
-  decoded : Pte.t array; (* mirror: decoded.(i) = decode entries.(i) *)
+  entries : Bytes.t; (* raw word [i], native-endian, at offset [8 * i] *)
+  decoded : Pte.t array; (* mirror: decoded.(i) = decode raw word [i] *)
   mutable present : int;
   mutable parent : ('m node * int) option;
   mutable base : int; (* base vaddr of the node's coverage, set at link *)

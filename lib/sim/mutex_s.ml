@@ -25,10 +25,11 @@ type t = {
   mutable contended : int;
 }
 
-let make ?name () =
+let make ?id ?name () =
   {
     line = Engine.Line.make ();
-    id = Mm_obs.Contention.fresh_id ();
+    id =
+      (match id with Some id -> id | None -> Mm_obs.Contention.fresh_id ());
     name;
     locked = false;
     holder = -1;

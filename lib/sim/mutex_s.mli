@@ -3,9 +3,10 @@
 
 type t
 
-val make : ?name:string -> unit -> t
-(** [name] labels the lock in contention reports and traces; unnamed locks
-    appear as [mutex#<id>]. *)
+val make : ?id:int -> ?name:string -> unit -> t
+(** [id] is a lock id reserved earlier with {!Mm_obs.Contention.fresh_id}
+    (a fresh one is drawn when absent). [name] labels the lock in
+    contention reports and traces; unnamed locks appear as [mutex#<id>]. *)
 
 val set_name : t -> string -> unit
 val id : t -> int

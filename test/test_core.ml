@@ -844,6 +844,101 @@ let test_with_lock_exception_safety cfg =
       Mm_compat.munmap asp ~addr ~len:(kib 16);
       Addr_space.check_well_formed asp)
 
+(* -- Host footprint of page descriptors -- *)
+
+(* PT-page locks are built only for frames that become page tables: after
+   mmap, touch and munmap, no frame that held user data carries one. NrOS
+   takes no per-PT-page lock at all; the others must have built some. *)
+let test_data_frames_lock_free () =
+  let len = 64 * page in
+  let corten cfg () =
+    let kernel, asp = make_asp ~cfg () in
+    ( kernel.Kernel.phys,
+      (fun () ->
+        let addr = Mm_compat.mmap asp ~len ~perm:Perm.rw () in
+        Mm.touch_range asp ~addr ~len ~write:true;
+        addr),
+      fun addr -> Mm_compat.munmap asp ~addr ~len )
+  in
+  let systems =
+    [
+      ("cortenmm-rw", corten Config.rw);
+      ("cortenmm-adv", corten Config.adv);
+      ( "linux",
+        fun () ->
+          let t = Mm_linux.Linux_mm.create ~ncpus:1 () in
+          ( Mm_linux.Linux_mm.phys t,
+            (fun () ->
+              let addr = Mm_linux.Linux_mm.mmap t ~len ~perm:Perm.rw () in
+              Mm_linux.Linux_mm.touch_range t ~addr ~len ~write:true;
+              addr),
+            fun addr -> Mm_linux.Linux_mm.munmap t ~addr ~len ) );
+      ( "nros",
+        fun () ->
+          let t = Mm_nros.Nros.create ~ncpus:1 () in
+          ( Mm_nros.Nros.phys t,
+            (fun () ->
+              let addr = Mm_nros.Nros.mmap t ~len ~perm:Perm.rw () in
+              Mm_nros.Nros.touch_range t ~addr ~len ~write:true;
+              addr),
+            fun addr -> Mm_nros.Nros.munmap t ~addr ~len ) );
+    ]
+  in
+  List.iter
+    (fun (name, setup) ->
+      let frames_of phys kind =
+        let acc = ref [] in
+        Mm_phys.Phys.iter_frames phys (fun f ->
+            if f.Mm_phys.Frame.kind = kind then acc := f :: !acc);
+        !acc
+      in
+      in_sim (fun () ->
+          let phys, map_and_touch, unmap = setup () in
+          let addr = map_and_touch () in
+          let data = frames_of phys Mm_phys.Frame.Anon in
+          if List.length data < 64 then
+            Alcotest.failf "%s: %d anon frames for 64 touched pages" name
+              (List.length data);
+          if name <> "nros"
+             && not
+                  (List.exists Mm_phys.Frame.has_locks
+                     (frames_of phys Mm_phys.Frame.Pt_page))
+          then Alcotest.failf "%s: no PT page built its lock" name;
+          unmap addr;
+          List.iter
+            (fun f ->
+              if Mm_phys.Frame.has_locks f then
+                Alcotest.failf "%s: data frame %#x built a PT lock" name
+                  f.Mm_phys.Frame.pfn)
+            (data @ frames_of phys Mm_phys.Frame.Anon)))
+    systems
+
+(* The decoded mirror is cross-checked against the raw words: a corrupt
+   word written straight into a node's bytes is caught. *)
+let test_corrupt_raw_word_caught () =
+  let phys = Mm_phys.Phys.create () in
+  let isa = Mm_hal.Isa.x86_64 in
+  let pt : unit Mm_pt.Pt.t = Mm_pt.Pt.create phys isa in
+  let vaddr = mib 3 in
+  let leaf = Mm_pt.Pt.walk_create pt ~to_level:1 vaddr in
+  let idx = Mm_pt.Pt.index pt ~level:1 ~vaddr in
+  Mm_pt.Pt.set pt leaf idx (Mm_hal.Pte.leaf ~pfn:7 ~perm:Perm.rw ());
+  Mm_pt.Pt.check_well_formed pt;
+  let corrupt ~slot word =
+    let saved = Bytes.copy leaf.Mm_pt.Pt.entries in
+    Bytes.set_int64_ne leaf.Mm_pt.Pt.entries (slot * 8) word;
+    (match Mm_pt.Pt.check_well_formed pt with
+    | () -> Alcotest.failf "corrupt word in slot %d went unnoticed" slot
+    | exception Mm_pt.Pt.Ill_formed _ -> ());
+    Bytes.blit saved 0 leaf.Mm_pt.Pt.entries 0 (Bytes.length saved);
+    Mm_pt.Pt.check_well_formed pt
+  in
+  let raw = Bytes.get_int64_ne leaf.Mm_pt.Pt.entries (idx * 8) in
+  (* A flipped frame-number bit in the present leaf. *)
+  corrupt ~slot:idx (Int64.logxor raw 0x1000L);
+  (* A present word in a slot the mirror holds as absent. *)
+  corrupt ~slot:((idx + 1) mod Mm_pt.Pt.entries_per_node pt) raw
+
 let proto_case name f =
   Alcotest.test_case name `Quick (both_protocols (fun cfg -> f cfg))
 
@@ -914,6 +1009,13 @@ let () =
         [
           Alcotest.test_case "va alloc disjoint" `Quick test_va_alloc_disjoint;
           proto_case "meta accounting" test_meta_accounting;
+        ] );
+      ( "host-footprint",
+        [
+          Alcotest.test_case "data frames build no PT lock" `Quick
+            test_data_frames_lock_free;
+          Alcotest.test_case "corrupt raw PTE word caught" `Quick
+            test_corrupt_raw_word_caught;
         ] );
       ( "legacy",
         [

@@ -258,6 +258,74 @@ let test_perm_to_string () =
   check Alcotest.string "cow" "r--u+cow"
     (Perm.to_string (Perm.with_cow Perm.r true))
 
+(* Every one of the 512 permissions, built through [Perm.make]. *)
+let every_perm =
+  List.concat_map
+    (fun mpk_key ->
+      List.init 32 (fun bits ->
+          let flag k = bits land (1 lsl k) <> 0 in
+          ( (flag 0, flag 1, flag 2, flag 3, flag 4, mpk_key),
+            Perm.make ~read:(flag 0) ~write:(flag 1) ~execute:(flag 2)
+              ~user:(flag 3) ~cow:(flag 4) ~mpk_key () )))
+    (List.init 16 Fun.id)
+
+let test_perm_interned () =
+  List.iter
+    (fun ((read, write, execute, user, cow, mpk_key), p) ->
+      let q = Perm.make ~read ~write ~execute ~user ~cow ~mpk_key () in
+      check Alcotest.bool "equal arguments, same record" true (p == q);
+      check Alcotest.bool "fields kept" true
+        (p.Perm.read = read && p.Perm.write = write
+       && p.Perm.execute = execute && p.Perm.user = user && p.Perm.cow = cow
+       && p.Perm.mpk_key = mpk_key);
+      check Alcotest.bool "with_write shares" true
+        (Perm.with_write p (not write)
+        == Perm.make ~read ~write:(not write) ~execute ~user ~cow ~mpk_key ());
+      check Alcotest.bool "with_cow shares" true
+        (Perm.with_cow p (not cow)
+        == Perm.make ~read ~write ~execute ~user ~cow:(not cow) ~mpk_key ());
+      check Alcotest.bool "with_mpk shares" true
+        (Perm.with_mpk p ((mpk_key + 1) mod 16)
+        == Perm.make ~read ~write ~execute ~user ~cow
+             ~mpk_key:((mpk_key + 1) mod 16)
+             ()))
+    every_perm;
+  let distinct =
+    List.sort_uniq compare (List.map (fun (_, p) -> Perm.to_string p) every_perm)
+  in
+  check Alcotest.int "512 distinct permissions" 512 (List.length distinct)
+
+(* Exhaustive, not sampled: every permission an ISA accepts in a leaf
+   decodes back to the very same shared record. *)
+let test_perm_decode_encode_exhaustive () =
+  List.iter
+    (fun (isa : Isa.t) ->
+      let expressible =
+        List.fold_left
+          (fun n (_, perm) ->
+            let pte = Pte.leaf ~pfn:5 ~perm () in
+            match Isa.encode isa ~level:1 pte with
+            | exception Invalid_argument _ -> n
+            | raw -> (
+              match Isa.decode isa ~level:1 raw with
+              | Pte.Leaf { perm = p; _ } as d ->
+                if p != perm then
+                  Alcotest.failf "%s: %s decodes to a different record"
+                    isa.Isa.name (Perm.to_string perm);
+                check pte_testable "leaf round-trips" pte d;
+                n + 1
+              | d ->
+                Alcotest.failf "%s: %s decodes to %s" isa.Isa.name
+                  (Perm.to_string perm) (Format.asprintf "%a" Pte.pp d)))
+          0 every_perm
+      in
+      (* Readable leaves with all flag mixes, times the keys the ISA has. *)
+      let keys = if Isa.supports_mpk isa then 16 else 1 in
+      if expressible < 16 * keys then
+        Alcotest.failf "%s: only %d permissions expressible" isa.Isa.name
+          expressible)
+    all_isas
+
 let () =
   Alcotest.run "mm_hal"
     [
@@ -302,5 +370,8 @@ let () =
         [
           Alcotest.test_case "allows" `Quick test_perm_allows;
           Alcotest.test_case "to_string" `Quick test_perm_to_string;
+          Alcotest.test_case "interned records" `Quick test_perm_interned;
+          Alcotest.test_case "decode . encode, every permission" `Quick
+            test_perm_decode_encode_exhaustive;
         ] );
     ]

@@ -79,6 +79,26 @@ let test_timed_nonnegative () =
       if t.Par.seconds < 0. then Alcotest.fail "negative task seconds")
     (Par.run_timed ~jobs:2 (List.init 4 (fun i () -> i)))
 
+(* A task's major words are its own: a 1M-word array (allocated straight
+   in the major heap) is charged to the task that made it, not to the
+   idle task on the other domain. *)
+let test_timed_major_words () =
+  let words = 1_000_000 in
+  match
+    Par.run_timed ~jobs:2
+      [
+        (fun () -> Array.length (Sys.opaque_identity (Array.make words 0)));
+        (fun () -> 0);
+      ]
+  with
+  | [ big; idle ] ->
+    if big.Par.major_words < float words then
+      Alcotest.failf "allocating task reports %.0f major words"
+        big.Par.major_words;
+    if idle.Par.major_words < 0. || idle.Par.major_words >= float words then
+      Alcotest.failf "idle task reports %.0f major words" idle.Par.major_words
+  | _ -> Alcotest.fail "expected two results"
+
 (* -- Exception propagation: the lowest-indexed failure wins -- *)
 
 exception Boom of int
@@ -371,6 +391,7 @@ let () =
           Alcotest.test_case "order hint" `Quick test_order_hint;
           Alcotest.test_case "order + lowest-submitted failure" `Quick
             test_order_failure_lowest_submitted;
+          Alcotest.test_case "timed major words" `Quick test_timed_major_words;
         ] );
       ( "byte-identity",
         [

@@ -1,6 +1,7 @@
 (* Tests for the physical memory substrate: the buddy allocator (splits,
    merges, alignment, double-free detection, invariant preservation under
-   random workloads), frame descriptors, NUMA striping and accounting. *)
+   random workloads), frame descriptors and their on-demand PT-page
+   locks, NUMA striping and accounting. *)
 
 module Buddy = Mm_phys.Buddy
 module Phys = Mm_phys.Phys
@@ -270,6 +271,32 @@ let test_frame_descriptors () =
        false
      with Invalid_argument _ -> true)
 
+(* PT-page locks are built on first use, under the ids the descriptor
+   reserved when it was made: the rwlock the first, the mutex the next —
+   the order the eagerly built locks used to draw them in. *)
+let test_pt_locks_on_demand () =
+  Mm_obs.Contention.reset ();
+  let phys = Phys.create () in
+  let data = Phys.alloc phys ~kind:Frame.Anon () in
+  let pt = Phys.alloc phys ~kind:Frame.Pt_page () in
+  let next_id = Mm_obs.Contention.fresh_id () in
+  check Alcotest.bool "no lock before first use" false (Frame.has_locks pt);
+  check Alcotest.int "mutex id is the reserved id + 1" (pt.Frame.lock_id + 1)
+    (Mm_sim.Mutex_s.id (Frame.lock pt));
+  check Alcotest.int "rwlock id is the reserved id" pt.Frame.lock_id
+    (Mm_sim.Rwlock_s.id (Frame.rwlock pt));
+  check Alcotest.int "ids reserved in creation order" (data.Frame.lock_id + 2)
+    pt.Frame.lock_id;
+  check Alcotest.int "two ids per descriptor" (pt.Frame.lock_id + 2) next_id;
+  (* A built lock is the descriptor's for life, across free and reuse. *)
+  let m = Frame.lock pt and l = Frame.rwlock pt in
+  Phys.free phys pt;
+  let again = Phys.alloc phys ~kind:Frame.Pt_page () in
+  check Alcotest.bool "same descriptor reused" true (again == pt);
+  check Alcotest.bool "mutex kept" true (Frame.lock again == m);
+  check Alcotest.bool "rwlock kept" true (Frame.rwlock again == l);
+  check Alcotest.bool "data page never built one" false (Frame.has_locks data)
+
 let test_usage_accounting () =
   let phys = Phys.create () in
   let f1 = Phys.alloc phys ~kind:Frame.Anon () in
@@ -327,6 +354,8 @@ let () =
       ( "phys",
         [
           Alcotest.test_case "frame descriptors" `Quick test_frame_descriptors;
+          Alcotest.test_case "PT locks on demand" `Quick
+            test_pt_locks_on_demand;
           Alcotest.test_case "usage accounting" `Quick test_usage_accounting;
           Alcotest.test_case "numa striping" `Quick test_numa_striping;
           Alcotest.test_case "numa bad node" `Quick test_numa_bad_node_rejected;

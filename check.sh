@@ -73,12 +73,28 @@ echo "== differential oracle: seeded traces across all backends =="
 dune exec bin/mmrepro.exe -- oracle --profile mixed --cpus 4 --ops 120 --seed 42
 dune exec bin/mmrepro.exe -- oracle --profile churn --cpus 2 --ops 150 --seed 7
 dune exec bin/mmrepro.exe -- oracle --profile forks --cpus 2 --ops 60 --seed 4
+dune exec bin/mmrepro.exe -- oracle --profile faults --cpus 2 --ops 150 --seed 7
 dune exec bin/mmrepro.exe -- oracle --profile mixed --cpus 4 --ops 120 \
   --seed 42 -j 2 > /tmp/oracle_j2.out
 dune exec bin/mmrepro.exe -- oracle --profile mixed --cpus 4 --ops 120 \
   --seed 42 > /tmp/oracle_j1.out
 cmp /tmp/oracle_j1.out /tmp/oracle_j2.out \
   || { echo "oracle: -j 2 verdict differs from -j 1"; exit 1; }
+
+echo "== trace: saved 2-CPU forks trace replays on two systems, same counts =="
+# Two CPU fibers share one process and region table; the per-op counts
+# (mmaps, munmaps, touches, forks, denied) must not depend on the system.
+dune exec bin/mmrepro.exe -- trace gen /tmp/check_forks_trace.txt \
+  --profile forks --cpus 2 --ops 120 --seed 4 > /dev/null
+for sys in cortenmm-adv linux; do
+  dune exec bin/mmrepro.exe -- trace replay /tmp/check_forks_trace.txt \
+    --system "$sys" > "/tmp/check_replay_$sys.out"
+  cat "/tmp/check_replay_$sys.out"
+done
+tail -n 1 /tmp/check_replay_cortenmm-adv.out > /tmp/check_replay_adv.counts
+tail -n 1 /tmp/check_replay_linux.out > /tmp/check_replay_linux.counts
+cmp /tmp/check_replay_adv.counts /tmp/check_replay_linux.counts \
+  || { echo "trace: replay counts differ between systems"; exit 1; }
 
 echo "== oracle: the injected COW fork mutant is caught =="
 # clone_for_fork "forgets" to write-protect the parent, so a post-fork

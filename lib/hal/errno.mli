@@ -13,8 +13,7 @@ type t =
   | SIGSEGV of int  (** access faulted; carries the faulting vaddr *)
 
 exception Error of t
-(** Bridge for callers that prefer exceptions ({!System} [_exn]
-    wrappers raise this). *)
+(** Bridge for callers that treat a failure as fatal (see {!ok_exn}). *)
 
 val ok_exn : ('a, t) result -> 'a
 (** The [Ok] value; raises {!Error} on [Error]. *)

@@ -121,9 +121,9 @@ type run = {
   keys : int array;  (** tie-break keys a [random] policy recorded *)
 }
 
-(* Probe the window's observable per-page state, mirroring the corten
-   backend's [page_state]. Cursor operations need fiber context, so the
-   probe runs in its own single-cpu world (the run's world has
+(* Probe the window's observable per-page state with the corten
+   backend's own slot mapping. Cursor operations need fiber context, so
+   the probe runs in its own single-cpu world (the run's world has
    finished; its locks are free whenever the run was violation-free). *)
 let probe_window asp =
   let result = ref [||] in
@@ -135,20 +135,8 @@ let probe_window asp =
           ~hi:(win_base + (win_pages * page))
           (fun c ->
             Array.init win_pages (fun i ->
-                match Addr_space.query c (win_base + (i * page)) with
-                | Status.Invalid -> Mm_workloads.Backend.P_unmapped
-                | Status.Mapped { perm; _ } ->
-                  Mm_workloads.Backend.P_mapped
-                    {
-                      writable = perm.Perm.write || perm.Perm.cow;
-                      resident = true;
-                    }
-                | Status.Private_anon perm
-                | Status.Private_file { perm; _ }
-                | Status.Shared_anon { perm; _ }
-                | Status.Swapped { perm; _ } ->
-                  Mm_workloads.Backend.P_mapped
-                    { writable = perm.Perm.write; resident = false })));
+                Mm_workloads.Backend_corten.page_state_of_status
+                  (Addr_space.query c (win_base + (i * page))))));
   Engine.run w;
   !result
 

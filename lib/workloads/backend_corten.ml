@@ -14,6 +14,21 @@ type state = {
          applies pressure, so default runs never see it *)
 }
 
+(* The observable state of one page slot. Logical writability: a
+   COW-protected resident page counts as writable (the store succeeds
+   after the break); virtually-allocated and swapped pages report their
+   stored protection. *)
+let page_state_of_status = function
+  | Cortenmm.Status.Invalid -> Backend.P_unmapped
+  | Cortenmm.Status.Mapped { perm; _ } ->
+    Backend.P_mapped
+      { writable = perm.Perm.write || perm.Perm.cow; resident = true }
+  | Cortenmm.Status.Private_anon perm
+  | Cortenmm.Status.Private_file { perm; _ }
+  | Cortenmm.Status.Shared_anon { perm; _ }
+  | Cortenmm.Status.Swapped { perm; _ } ->
+    Backend.P_mapped { writable = perm.Perm.write; resident = false }
+
 let make cfg : Backend.b =
   (module struct
     type t = state
@@ -49,34 +64,19 @@ let make cfg : Backend.b =
     let touch_range t ~addr ~len ~write =
       Cortenmm.Mm.touch_range_r t.asp ~addr ~len ~write
 
-    (* One inspection transaction over the page's slot. Logical
-       writability: a COW-protected resident page counts as writable
-       (the store succeeds after the break); virtually-allocated and
-       swapped pages report their stored protection. *)
+    (* One inspection transaction over the page's slot. *)
     let page_state t ~vaddr =
       let ps = Cortenmm.Addr_space.page_size t.asp in
       let page = Mm_util.Align.down vaddr ps in
       Cortenmm.Addr_space.with_lock t.asp ~lo:page ~hi:(page + ps) (fun c ->
-          match Cortenmm.Addr_space.query c page with
-          | Cortenmm.Status.Invalid -> Backend.P_unmapped
-          | Cortenmm.Status.Mapped { perm; _ } ->
-            Backend.P_mapped
-              {
-                writable = perm.Perm.write || perm.Perm.cow;
-                resident = true;
-              }
-          | Cortenmm.Status.Private_anon perm
-          | Cortenmm.Status.Private_file { perm; _ }
-          | Cortenmm.Status.Shared_anon { perm; _ }
-          | Cortenmm.Status.Swapped { perm; _ } ->
-            Backend.P_mapped { writable = perm.Perm.write; resident = false })
+          page_state_of_status (Cortenmm.Addr_space.query c page))
 
     let fork t =
       match Cortenmm.Mm.fork t.asp with
       | child ->
         Cortenmm.Pageoutd.register_space t.daemon child;
         Ok { t with asp = child }
-      | exception Out_of_memory -> Error Errno.ENOMEM
+      | exception Mm_phys.Buddy.Out_of_memory -> Error Errno.ENOMEM
 
     let destroy t =
       Cortenmm.Pageoutd.unregister_space t.daemon t.asp;

@@ -1,8 +1,9 @@
 (* The differential cross-backend oracle.
 
    One trace is replayed on every registered backend, each in its own
-   simulation world, in sequential global op order. After every op the
-   replayer records the typed outcome and checks per-op postconditions
+   simulation world, in sequential global op order; {!Trace.exec} runs
+   each op, exactly as it does for the timed replay. After every op the
+   oracle records the typed outcome and checks per-op postconditions
    (mmap Ok => every page mapped; munmap Ok => every page unmapped —
    these catch a broken munmap that a later snapshot would miss, since
    an unmapped region leaves the region table). Every [check_every] ops
@@ -22,7 +23,6 @@
      mprotect parity, since a denied touch populates nothing). *)
 
 module Errno = Mm_hal.Errno
-module Perm = Mm_hal.Perm
 
 type outcome = O_ok | O_err of Errno.t | O_skip
 
@@ -59,8 +59,6 @@ type run_log = {
   l_violations : (int * string) list; (* op index, broken invariant *)
   l_snapshots : (int * snapshot) list; (* taken after this op index *)
 }
-
-let page = 4096
 
 (* The per-page comparison shared by the oracle's snapshot check, its
    post-fork parent/child postcondition, and the schedule-exploration
@@ -104,16 +102,14 @@ let compare_page_states ?(check_writable = true) ?(check_resident = true)
 
 (* Replay the whole trace on one backend, inside a single fiber of a
    private world (sequential global op order: the oracle checks
-   functional equivalence, not interleavings). *)
+   functional equivalence, not interleavings). {!Trace.exec} runs each
+   op; this adds the typed outcomes and the checks. *)
 let replay_one ?isa ~check_every (b : System.backend) trace =
   let root = System.of_backend ?isa b ~ncpus:1 in
   let ps = root.System.page_size in
   let entries = trace.Trace.entries in
   let nops = Array.length entries in
-  (* proc -> live instance; process 0 is the root and never exits. *)
-  let procs : (int, System.t) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.replace procs 0 root;
-  let regions : (int * int, int * int) Hashtbl.t = Hashtbl.create 64 in
+  let tbl = Trace.table root in
   (* The solo value model: expected data token per (proc, region, page),
      written by T_write and copied to the child at fork. A read is only
      checked when the model has an entry (a never-written page's raw
@@ -145,15 +141,10 @@ let replay_one ?isa ~check_every (b : System.backend) trace =
       violate i "mem_stats: negative pt/kernel bytes"
   in
   let snapshot i =
-    let keys =
-      List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) regions [])
-    in
     let s_regions =
       List.map
-        (fun ((proc, id) as k) ->
-          let r = Hashtbl.find regions k in
-          let sys = Hashtbl.find procs proc in
-          let states = probe_region sys r in
+        (fun (((proc, id) as k), r) ->
+          let states = probe_region (Trace.process tbl proc) r in
           (* Eager backends have no lazy pages: mapped implies resident. *)
           if not root.System.caps.System.demand_paging then
             Array.iteri
@@ -168,183 +159,83 @@ let replay_one ?isa ~check_every (b : System.backend) trace =
                 | Backend.P_mapped _ | Backend.P_unmapped -> ())
               states;
           (k, states))
-        keys
+        (Trace.regions tbl)
     in
     check_stats i;
     snapshots := (i, { s_regions }) :: !snapshots
   in
+  (* Per-op postcondition: every page of region [id] is [mapped]. *)
+  let post i ~mapped ~what id r =
+    Array.iteri
+      (fun p st ->
+        match st with
+        | Backend.P_unmapped when mapped ->
+          violate i
+            (Printf.sprintf "page %d of region %d unmapped after %s" p id what)
+        | Backend.P_mapped _ when not mapped ->
+          violate i
+            (Printf.sprintf "page %d of region %d mapped after %s" p id what)
+        | Backend.P_mapped _ | Backend.P_unmapped -> ())
+      (probe_region (Trace.process tbl entries.(i).Trace.proc) r)
+  in
   let run_op i =
-    let proc = entries.(i).Trace.proc in
-    match Hashtbl.find_opt procs proc with
-    | None -> outcomes.(i) <- O_skip (* defunct process: skip *)
-    | Some sys -> (
-      match entries.(i).Trace.op with
-      | Trace.T_mmap { id; len; writable } -> (
-        let perm = if writable then Perm.rw else Perm.r in
-        match System.mmap sys ~len ~perm () with
-        | Error e -> outcomes.(i) <- O_err e
-        | Ok addr ->
-          outcomes.(i) <- O_ok;
-          Hashtbl.replace regions (proc, id) (addr, len);
-          for p = 0 to (len / ps) - 1 do
-            match System.page_state sys ~vaddr:(addr + (p * ps)) with
-            | Backend.P_unmapped ->
-              violate i
-                (Printf.sprintf "page %d of region %d unmapped after mmap" p id)
-            | Backend.P_mapped _ -> ()
-          done)
-      | Trace.T_munmap { id } -> (
-        match Hashtbl.find_opt regions (proc, id) with
-        | None -> outcomes.(i) <- O_skip
-        | Some (addr, len) -> (
-          match System.munmap sys ~addr ~len with
-          | Error e -> outcomes.(i) <- O_err e
-          | Ok () ->
-            outcomes.(i) <- O_ok;
-            Hashtbl.remove regions (proc, id);
-            for p = 0 to (len / ps) - 1 do
-              Hashtbl.remove model (proc, id, p);
-              match System.page_state sys ~vaddr:(addr + (p * ps)) with
-              | Backend.P_mapped _ ->
-                violate i
-                  (Printf.sprintf "page %d of region %d mapped after munmap" p
-                     id)
-              | Backend.P_unmapped -> ()
-            done))
-      | Trace.T_touch { id; page = p; write } -> (
-        match Hashtbl.find_opt regions (proc, id) with
-        | Some (addr, len) when p * page < len ->
-          outcomes.(i) <-
-            (match System.touch sys ~vaddr:(addr + (p * page)) ~write with
-            | Ok () -> O_ok
-            | Error e -> O_err e)
-        | Some _ | None -> outcomes.(i) <- O_skip)
-      | Trace.T_mprotect { id; writable } -> (
-        match Hashtbl.find_opt regions (proc, id) with
-        | None -> outcomes.(i) <- O_skip
-        | Some (addr, len) ->
-          if not (System.has_mprotect sys) then begin
-            skipped_mprotect := true;
-            outcomes.(i) <- O_skip
-          end
-          else
-            let perm = if writable then Perm.rw else Perm.r in
-            outcomes.(i) <-
-              (match System.mprotect sys ~addr ~len ~perm with
-              | Ok () -> O_ok
-              | Error e -> O_err e))
-      | Trace.T_fork { child } -> (
-        match System.fork sys with
-        | Error e -> outcomes.(i) <- O_err e
-        | Ok csys ->
-          outcomes.(i) <- O_ok;
-          Hashtbl.replace procs child csys;
-          let inherited =
-            List.sort compare
-              (Hashtbl.fold
-                 (fun (p, id) v acc -> if p = proc then (id, v) :: acc else acc)
-                 regions [])
-          in
-          List.iter
-            (fun (id, v) -> Hashtbl.replace regions (child, id) v)
-            inherited;
-          Hashtbl.fold
-            (fun (p, id, pg) v acc -> if p = proc then (id, pg, v) :: acc else acc)
-            model []
-          |> List.iter (fun (id, pg, v) ->
-                 Hashtbl.replace model (child, id, pg) v);
-          (* Post-fork postcondition: parent and child observe identical
-             page states over every inherited region — this is where a
-             fork that breaks the parent's or child's mappings is caught,
-             at the fork op itself. *)
-          List.iter
-            (fun (id, r) ->
-              List.iter (violate i)
-                (compare_page_states
-                   ~region:
-                     (Printf.sprintf "fork of proc %d (child %d), region %d"
-                        proc child id)
-                   (probe_region sys r) (probe_region csys r)))
-            inherited)
-      | Trace.T_exit ->
-        outcomes.(i) <- O_ok;
-        if proc <> 0 then begin
-          System.destroy sys;
-          Hashtbl.remove procs proc;
-          Hashtbl.fold
-            (fun (p, id) _ acc -> if p = proc then (p, id) :: acc else acc)
-            regions []
-          |> List.iter (Hashtbl.remove regions);
-          Hashtbl.fold
-            (fun (p, id, pg) _ acc ->
-              if p = proc then (p, id, pg) :: acc else acc)
-            model []
-          |> List.iter (Hashtbl.remove model)
-        end
-      | Trace.T_write { id; page = p; value } -> (
-        match Hashtbl.find_opt regions (proc, id) with
-        | Some (addr, len) when p * page < len -> (
-          match System.write_value sys ~vaddr:(addr + (p * page)) ~value with
-          | Ok () ->
-            outcomes.(i) <- O_ok;
-            Hashtbl.replace model (proc, id, p) value
-          | Error e -> outcomes.(i) <- O_err e)
-        | Some _ | None -> outcomes.(i) <- O_skip)
-      | Trace.T_read { id; page = p } -> (
-        match Hashtbl.find_opt regions (proc, id) with
-        | Some (addr, len) when p * page < len -> (
-          match System.read_value sys ~vaddr:(addr + (p * page)) with
-          | Ok v ->
-            outcomes.(i) <- O_ok;
-            (match Hashtbl.find_opt model (proc, id, p) with
-            | Some expected when expected <> v ->
-              violate i
-                (Printf.sprintf
-                   "proc %d read %d from page %d of region %d, expected %d"
-                   proc v p id expected)
-            | Some _ | None -> ())
-          | Error e -> outcomes.(i) <- O_err e)
-        | Some _ | None -> outcomes.(i) <- O_skip)
-      | Trace.T_mlock { id } -> (
-        (* Reclaim ops are capability-masked like mprotect: a backend
-           without a page-out daemon has nothing to wire against, so it
-           skips — and residency is then only compared between backends
-           with reclaim parity. *)
-        match Hashtbl.find_opt regions (proc, id) with
-        | None -> outcomes.(i) <- O_skip
-        | Some (addr, len) ->
-          if not (System.has_reclaim sys) then begin
-            skipped_reclaim := true;
-            outcomes.(i) <- O_skip
-          end
-          else
-            outcomes.(i) <-
-              (match System.mlock sys ~addr ~len with
-              | Ok () -> O_ok
-              | Error e -> O_err e))
-      | Trace.T_munlock { id } -> (
-        match Hashtbl.find_opt regions (proc, id) with
-        | None -> outcomes.(i) <- O_skip
-        | Some (addr, len) ->
-          if not (System.has_reclaim sys) then begin
-            skipped_reclaim := true;
-            outcomes.(i) <- O_skip
-          end
-          else
-            outcomes.(i) <-
-              (match System.munlock sys ~addr ~len with
-              | Ok () -> O_ok
-              | Error e -> O_err e))
-      | Trace.T_pressure { pages } ->
-        if not (System.has_reclaim sys) then begin
-          skipped_reclaim := true;
-          outcomes.(i) <- O_skip
-        end
-        else
-          outcomes.(i) <-
-            (match System.pressure sys ~target_pages:pages with
-            | Ok _ -> O_ok
-            | Error e -> O_err e))
+    let { Trace.proc; op; _ } = entries.(i) in
+    let step = Trace.exec tbl entries.(i) in
+    outcomes.(i) <-
+      (match step with
+      | Trace.Skipped | Trace.Masked -> O_skip
+      | Trace.Failed e -> O_err e
+      | Trace.Done _ -> O_ok);
+    match (op, step) with
+    | Trace.T_mprotect _, Trace.Masked -> skipped_mprotect := true
+    | (Trace.T_mlock _ | Trace.T_munlock _ | Trace.T_pressure _), Trace.Masked
+      ->
+      (* Without a page-out daemon there is nothing to wire against, so
+         residency is then only compared between backends with reclaim
+         parity. *)
+      skipped_reclaim := true
+    | Trace.T_mmap { id; _ }, Trace.Done (Trace.Region r) ->
+      post i ~mapped:true ~what:"mmap" id r
+    | Trace.T_munmap { id }, Trace.Done (Trace.Region ((_, len) as r)) ->
+      for p = 0 to (len / ps) - 1 do
+        Hashtbl.remove model (proc, id, p)
+      done;
+      post i ~mapped:false ~what:"munmap" id r
+    | Trace.T_fork { child }, Trace.Done (Trace.Child (csys, inherited)) ->
+      Hashtbl.fold
+        (fun (p, id, pg) v acc -> if p = proc then (id, pg, v) :: acc else acc)
+        model []
+      |> List.iter (fun (id, pg, v) -> Hashtbl.replace model (child, id, pg) v);
+      (* Post-fork postcondition: parent and child observe identical
+         page states over every inherited region — this is where a fork
+         that breaks the parent's or child's mappings is caught, at the
+         fork op itself. *)
+      let sys = Trace.process tbl proc in
+      List.iter
+        (fun (id, r) ->
+          List.iter (violate i)
+            (compare_page_states
+               ~region:
+                 (Printf.sprintf "fork of proc %d (child %d), region %d" proc
+                    child id)
+               (probe_region sys r) (probe_region csys r)))
+        inherited
+    | Trace.T_exit, Trace.Done _ when proc <> 0 ->
+      Hashtbl.fold
+        (fun (p, id, pg) _ acc -> if p = proc then (p, id, pg) :: acc else acc)
+        model []
+      |> List.iter (Hashtbl.remove model)
+    | Trace.T_write { id; page = p; value }, Trace.Done _ ->
+      Hashtbl.replace model (proc, id, p) value
+    | Trace.T_read { id; page = p }, Trace.Done (Trace.Value v) -> (
+      match Hashtbl.find_opt model (proc, id, p) with
+      | Some expected when expected <> v ->
+        violate i
+          (Printf.sprintf
+             "proc %d read %d from page %d of region %d, expected %d" proc v p
+             id expected)
+      | Some _ | None -> ())
+    | _ -> ()
   in
   let w = Mm_sim.Engine.create ~ncpus:1 in
   Mm_sim.Engine.spawn w ~cpu:0 (fun () ->

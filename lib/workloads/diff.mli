@@ -1,5 +1,6 @@
 (** Differential cross-backend oracle: replay one {!Trace.t} on every
-    registered backend in separate simulation worlds and compare the
+    registered backend in separate simulation worlds, each op through
+    {!Trace.exec} (the trace language's one interpreter), and compare the
     observable state — per-page {!Backend.page_state} over live regions,
     typed error outcomes, per-op postconditions and {!System.mem_stats}
     invariants — after every [check_every] ops. Capability differences

@@ -1,6 +1,7 @@
 (* MM operation traces: a portable text format for recording memory
    management workloads, a synthetic generator with workload profiles,
-   and a replayer that drives any of the five systems.
+   the interpreter that runs one op on any of the five systems, and a
+   timed replayer built on it.
 
    Regions are referenced by symbolic ids rather than addresses, so one
    trace replays identically on systems with different VA allocators.
@@ -442,6 +443,127 @@ let generate ~profile ~ncpus ~ops_per_cpu ~seed =
   done;
   { ncpus; entries = Array.of_list (List.rev !entries) }
 
+(* -- The interpreter --
+
+   The one place a trace op becomes [System] operations. [replay] (timed,
+   one fiber per CPU over a shared table) and the differential oracle
+   (sequential, with its own checks) both run every op through [exec]. *)
+
+type table = {
+  procs : (int, System.t) Hashtbl.t;
+      (* proc -> live instance; process 0 is the root and never exits *)
+  regions : (int * int, int * int) Hashtbl.t;
+      (* (proc, id) -> (addr, len). A fork copies the parent's entries
+         under the child's key: addresses are identical in the child. *)
+}
+
+let table root =
+  let procs = Hashtbl.create 16 in
+  Hashtbl.replace procs 0 root;
+  { procs; regions = Hashtbl.create 64 }
+
+let process tbl proc = Hashtbl.find tbl.procs proc
+
+let regions tbl =
+  List.sort compare (Hashtbl.fold (fun k r acc -> (k, r) :: acc) tbl.regions [])
+
+type produced =
+  | Unit
+  | Region of (int * int)
+  | Child of System.t * (int * (int * int)) list
+  | Value of int
+  | Reclaimed of int
+
+type step = Skipped | Masked | Failed of Mm_hal.Errno.t | Done of produced
+
+let page_size = 4096
+
+let exec tbl { proc; op; _ } =
+  let done_ f = function Ok v -> Done (f v) | Error e -> Failed e in
+  let unit = done_ (fun () -> Unit) in
+  match Hashtbl.find_opt tbl.procs proc with
+  | None -> Skipped (* defunct process: skip, like a dead region id *)
+  | Some sys -> (
+    let region id = Hashtbl.find_opt tbl.regions (proc, id) in
+    (* A data access to page [page] of region [id], skipped when the
+       region is unknown or the page lies outside it. *)
+    let access id page f =
+      match region id with
+      | Some (addr, len) when page * page_size < len ->
+        f (addr + (page * page_size))
+      | Some _ | None -> Skipped
+    in
+    (* A whole-region op gated on a capability (mprotect, reclaim): a
+       backend without it masks the op. *)
+    let gated id cap f =
+      match region id with
+      | None -> Skipped
+      | Some _ when not cap -> Masked
+      | Some (addr, len) -> unit (f ~addr ~len)
+    in
+    let perm writable = if writable then Perm.rw else Perm.r in
+    match op with
+    | T_mmap { id; len; writable } ->
+      done_
+        (fun addr ->
+          Hashtbl.replace tbl.regions (proc, id) (addr, len);
+          Region (addr, len))
+        (System.mmap sys ~len ~perm:(perm writable) ())
+    | T_munmap { id } -> (
+      match region id with
+      | None -> Skipped
+      | Some (addr, len) -> (
+        (* Drop the region before the call, which can yield: a fiber on
+           another CPU must not reach it mid-unmap. A failed unmap puts
+           it back. *)
+        Hashtbl.remove tbl.regions (proc, id);
+        match System.munmap sys ~addr ~len with
+        | Ok () -> Done (Region (addr, len))
+        | Error e ->
+          Hashtbl.replace tbl.regions (proc, id) (addr, len);
+          Failed e))
+    | T_touch { id; page; write } ->
+      access id page (fun vaddr -> unit (System.touch sys ~vaddr ~write))
+    | T_mprotect { id; writable } ->
+      gated id (System.has_mprotect sys)
+        (System.mprotect sys ~perm:(perm writable))
+    | T_fork { child } ->
+      done_
+        (fun csys ->
+          Hashtbl.replace tbl.procs child csys;
+          let inherited =
+            List.sort compare
+              (Hashtbl.fold
+                 (fun (p, id) r acc -> if p = proc then (id, r) :: acc else acc)
+                 tbl.regions [])
+          in
+          List.iter
+            (fun (id, r) -> Hashtbl.replace tbl.regions (child, id) r)
+            inherited;
+          Child (csys, inherited))
+        (System.fork sys)
+    | T_exit ->
+      if proc <> 0 then begin
+        System.destroy sys;
+        Hashtbl.remove tbl.procs proc;
+        Hashtbl.fold
+          (fun (p, id) _ acc -> if p = proc then (p, id) :: acc else acc)
+          tbl.regions []
+        |> List.iter (Hashtbl.remove tbl.regions)
+      end;
+      Done Unit
+    | T_write { id; page; value } ->
+      access id page (fun vaddr -> unit (System.write_value sys ~vaddr ~value))
+    | T_read { id; page } ->
+      access id page (fun vaddr ->
+          done_ (fun v -> Value v) (System.read_value sys ~vaddr))
+    | T_mlock { id } -> gated id (System.has_reclaim sys) (System.mlock sys)
+    | T_munlock { id } -> gated id (System.has_reclaim sys) (System.munlock sys)
+    | T_pressure { pages } ->
+      if not (System.has_reclaim sys) then Masked
+      else
+        done_ (fun n -> Reclaimed n) (System.pressure sys ~target_pages:pages))
+
 (* -- Replay -- *)
 
 type replay_stats = {
@@ -450,21 +572,32 @@ type replay_stats = {
   munmaps : int;
   touches : int;
   forks : int;
-  faults_denied : int; (* touches that hit SIGSEGV (e.g. after mprotect) *)
+  faults_denied : int;
 }
 
 let replay ?(isa = Mm_hal.Isa.x86_64) ~kind trace =
   let root = System.make ~isa kind ~ncpus:trace.ncpus in
-  (* proc -> live instance; process 0 is the root and never exits. *)
-  let procs : (int, System.t) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.replace procs 0 root;
-  (* (proc, id) -> (addr, len); shared across CPUs (simulation is
-     cooperative). A fork copies the parent's entries under the child's
-     key: region addresses are identical in the child's address space. *)
-  let regions : (int * int, int * int) Hashtbl.t = Hashtbl.create 64 in
+  let tbl = table root in
   let mmaps = ref 0 and munmaps = ref 0 and touches = ref 0 in
   let forks = ref 0 in
   let denied = ref 0 in
+  let count { op; _ } step =
+    match (op, step) with
+    | _, (Skipped | Masked) -> ()
+    | (T_mmap _ | T_munmap _ | T_mprotect _), Failed e ->
+      raise (Mm_hal.Errno.Error e)
+    | T_mmap _, Done _ -> incr mmaps
+    | T_munmap _, Done _ -> incr munmaps
+    | T_fork _, Done _ -> incr forks
+    | (T_touch _ | T_write _ | T_read _), Done _ -> incr touches
+    | (T_touch _ | T_write _ | T_read _), Failed _ ->
+      incr touches;
+      incr denied
+    | (T_mlock _ | T_munlock _), Failed _ -> incr denied
+    | (T_mprotect _ | T_exit | T_mlock _ | T_munlock _), Done _
+    | (T_fork _ | T_exit | T_pressure _), (Done _ | Failed _) ->
+      ()
+  in
   (* Per-CPU streams, replayed in trace order within each CPU. *)
   let per_cpu = Array.make trace.ncpus [] in
   Array.iter (fun e -> per_cpu.(e.cpu) <- e :: per_cpu.(e.cpu)) trace.entries;
@@ -474,106 +607,7 @@ let replay ?(isa = Mm_hal.Isa.x86_64) ~kind trace =
       ~prep:(fun cpu -> System.warm root ~cpu)
       ()
       ~measure:(fun cpu ->
-        List.iter
-          (fun { proc; op; _ } ->
-            match Hashtbl.find_opt procs proc with
-            | None -> () (* defunct process: skip, like a dead region id *)
-            | Some sys -> (
-              match op with
-              | T_mmap { id; len; writable } ->
-                incr mmaps;
-                let perm = if writable then Perm.rw else Perm.r in
-                let addr = System.mmap_exn sys ~len ~perm () in
-                Hashtbl.replace regions (proc, id) (addr, len)
-              | T_munmap { id } -> (
-                match Hashtbl.find_opt regions (proc, id) with
-                | Some (addr, len) ->
-                  incr munmaps;
-                  Hashtbl.remove regions (proc, id);
-                  System.munmap_exn sys ~addr ~len
-                | None -> ())
-              | T_touch { id; page; write } -> (
-                match Hashtbl.find_opt regions (proc, id) with
-                | Some (addr, len) when page * 4096 < len -> (
-                  incr touches;
-                  match
-                    System.touch sys ~vaddr:(addr + (page * 4096)) ~write
-                  with
-                  | Ok () -> ()
-                  | Error _ -> incr denied)
-                | Some _ | None -> ())
-              | T_mprotect { id; writable } -> (
-                match Hashtbl.find_opt regions (proc, id) with
-                | Some (addr, len) when System.has_mprotect sys ->
-                  System.mprotect_exn sys ~addr ~len
-                    ~perm:(if writable then Perm.rw else Perm.r)
-                | Some _ | None -> ())
-              | T_fork { child } -> (
-                match System.fork sys with
-                | Ok csys ->
-                  incr forks;
-                  Hashtbl.replace procs child csys;
-                  let inherited =
-                    Hashtbl.fold
-                      (fun (p, id) v acc ->
-                        if p = proc then (id, v) :: acc else acc)
-                      regions []
-                  in
-                  List.iter
-                    (fun (id, v) -> Hashtbl.replace regions (child, id) v)
-                    inherited
-                | Error _ -> ())
-              | T_exit ->
-                if proc <> 0 then begin
-                  System.destroy sys;
-                  Hashtbl.remove procs proc;
-                  let dead =
-                    Hashtbl.fold
-                      (fun (p, id) _ acc ->
-                        if p = proc then (p, id) :: acc else acc)
-                      regions []
-                  in
-                  List.iter (Hashtbl.remove regions) dead
-                end
-              | T_write { id; page; value } -> (
-                match Hashtbl.find_opt regions (proc, id) with
-                | Some (addr, len) when page * 4096 < len -> (
-                  incr touches;
-                  match
-                    System.write_value sys ~vaddr:(addr + (page * 4096)) ~value
-                  with
-                  | Ok () -> ()
-                  | Error _ -> incr denied)
-                | Some _ | None -> ())
-              | T_read { id; page } -> (
-                match Hashtbl.find_opt regions (proc, id) with
-                | Some (addr, len) when page * 4096 < len -> (
-                  incr touches;
-                  match System.read_value sys ~vaddr:(addr + (page * 4096)) with
-                  | Ok _ -> ()
-                  | Error _ -> incr denied)
-                | Some _ | None -> ())
-              | T_mlock { id } -> (
-                (* Reclaim ops are capability-gated like mprotect: a
-                   backend without a page-out daemon replays them as
-                   no-ops (there is nothing to guard against). *)
-                match Hashtbl.find_opt regions (proc, id) with
-                | Some (addr, len) when System.has_reclaim sys -> (
-                  match System.mlock sys ~addr ~len with
-                  | Ok () -> ()
-                  | Error _ -> incr denied)
-                | Some _ | None -> ())
-              | T_munlock { id } -> (
-                match Hashtbl.find_opt regions (proc, id) with
-                | Some (addr, len) when System.has_reclaim sys -> (
-                  match System.munlock sys ~addr ~len with
-                  | Ok () -> ()
-                  | Error _ -> incr denied)
-                | Some _ | None -> ())
-              | T_pressure { pages } ->
-                if System.has_reclaim sys then
-                  ignore (System.pressure sys ~target_pages:pages)))
-          per_cpu.(cpu))
+        List.iter (fun e -> count e (exec tbl e)) per_cpu.(cpu))
   in
   {
     result = Runner.result ~ops:(Array.length trace.entries) ~cycles;

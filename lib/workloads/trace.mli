@@ -1,7 +1,8 @@
 (** MM operation traces: a portable text format (regions referenced by
     symbolic ids so a trace replays on any system regardless of its VA
-    allocator), a synthetic generator with workload profiles, and a
-    replayer driving any of the evaluated systems. *)
+    allocator), a synthetic generator with workload profiles, the one
+    interpreter that runs a trace op on a system, and a timed replayer
+    built on it. *)
 
 type op =
   | T_mmap of { id : int; len : int; writable : bool }
@@ -46,17 +47,64 @@ val generate : profile:profile -> ncpus:int -> ops_per_cpu:int -> seed:int -> t
     value traffic under mlock/munlock and pressure storms (format v3
     ops, capability-gated on backends without a page-out daemon). *)
 
+(** {2 The interpreter}
+
+    The trace language's one meaning: {!exec} is the only code that turns
+    a trace op into {!System} operations, and both {!replay} and the
+    differential oracle ({!Diff}) run every op through it. *)
+
+type table
+(** Per-replay state: each live process's {!System.t} and each
+    [(proc, id)] region's [(addr, len)]. Only {!exec} updates it. *)
+
+val table : System.t -> table
+(** A fresh table whose process 0 (the root, which never exits) is the
+    given instance. *)
+
+val process : table -> int -> System.t
+(** The live instance of a process; raises [Not_found] for a defunct or
+    never-forked one. *)
+
+val regions : table -> ((int * int) * (int * int)) list
+(** Every live [((proc, id), (addr, len))], sorted by key. *)
+
+type produced =
+  | Unit
+  | Region of (int * int)  (** mmap, munmap: the [(addr, len)] (un)mapped *)
+  | Child of System.t * (int * (int * int)) list
+      (** fork: the child and the [(id, (addr, len))] regions it
+          inherited, sorted by id *)
+  | Value of int  (** read: the page's data token *)
+  | Reclaimed of int  (** pressure: pages the daemon took *)
+
+type step =
+  | Skipped
+      (** a defunct process, an unknown region, or a page outside its
+          region: nothing ran *)
+  | Masked
+      (** the backend lacks the op's capability (mprotect, or reclaim for
+          mlock/munlock/pressure): nothing ran *)
+  | Failed of Mm_hal.Errno.t
+  | Done of produced
+
+val exec : table -> entry -> step
+(** Run one entry on the process it names. A munmap drops its region
+    before the call (which can yield to another CPU's fiber) and puts it
+    back if the call fails; a fork registers the child with the parent's
+    regions; an exit destroys the process and drops its regions. *)
+
 type replay_stats = {
   result : Runner.result;
   mmaps : int;
   munmaps : int;
-  touches : int;
+  touches : int;  (** in-range touches, writes and reads, failed or not *)
   forks : int;
   faults_denied : int;
+      (** failed touches, writes, reads, mlocks and munlocks *)
 }
 
 val replay : ?isa:Mm_hal.Isa.t -> kind:System.kind -> t -> replay_stats
-(** Replay the trace's per-CPU streams, each on the process named by its
-    entries ([fork] creating child instances via {!System.fork}, [exit]
-    destroying them); unknown/defunct region or process references are
-    skipped, denied accesses counted. *)
+(** Replay the trace's per-CPU streams, one fiber per CPU over one shared
+    {!table}, each entry through {!exec}; skipped and masked ops count
+    nowhere. A failed mmap, munmap or mprotect raises
+    {!Mm_hal.Errno.Error}. *)

@@ -131,6 +131,85 @@ let test_stats_invariant_caught () =
       (String.length d.Diff.d_what >= 9
       && String.sub d.Diff.d_what 0 9 = "mem_stats")
 
+(* -- The trace interpreter -- *)
+
+(* A munmap that always fails. *)
+let failing_munmap (b : System.backend) : System.backend =
+  let module B = (val b) in
+  (module struct
+    include B
+
+    let name = B.name ^ "-failing-munmap"
+    let munmap _ ~addr:_ ~len:_ = Error Errno.EINVAL
+  end)
+
+(* Run [entries] through {!Trace.exec} on a fresh table, one after the
+   other in one fiber; return each step's kind and the regions left. *)
+let exec_steps backend entries =
+  let tbl = Trace.table (System.of_backend backend ~ncpus:1) in
+  let kinds = ref [] in
+  let w = Mm_sim.Engine.create ~ncpus:1 in
+  Mm_sim.Engine.spawn w ~cpu:0 (fun () ->
+      List.iter
+        (fun e ->
+          let kind =
+            match Trace.exec tbl e with
+            | Trace.Skipped -> "skipped"
+            | Trace.Masked -> "masked"
+            | Trace.Failed err -> Errno.to_string err
+            | Trace.Done _ -> "done"
+          in
+          kinds := kind :: !kinds)
+        entries);
+  Mm_sim.Engine.run w;
+  (List.rev !kinds, List.map fst (Trace.regions tbl))
+
+let test_exec_steps () =
+  let e ?(proc = 0) op = { Trace.cpu = 0; proc; op } in
+  let mmap id = e (Trace.T_mmap { id; len = 8192; writable = true }) in
+  let touch id page = e (Trace.T_touch { id; page; write = true }) in
+  let show = String.concat "," in
+  let keys ks =
+    String.concat ";" (List.map (fun (p, id) -> Printf.sprintf "%d:%d" p id) ks)
+  in
+  (* A failed munmap keeps its region: later touches still reach it. *)
+  let kinds, live =
+    exec_steps (failing_munmap linux)
+      [
+        mmap 1;
+        e (Trace.T_munmap { id = 1 });
+        touch 1 1;
+        touch 1 2;
+        touch 2 0;
+        e ~proc:7 (Trace.T_mmap { id = 3; len = 4096; writable = true });
+      ]
+  in
+  check Alcotest.string "failing munmap steps"
+    "done,EINVAL,done,skipped,skipped,skipped" (show kinds);
+  check Alcotest.string "region survives" "0:1" (keys live);
+  (* RadixVM has neither mprotect nor reclaim: those ops are masked,
+     unless their region is unknown. A fork's child inherits the
+     parent's regions and drops them at exit. *)
+  let kinds, live =
+    exec_steps (System.backend_of_kind System.Radixvm)
+      [
+        mmap 1;
+        e (Trace.T_mprotect { id = 1; writable = false });
+        e (Trace.T_mprotect { id = 9; writable = false });
+        e (Trace.T_mlock { id = 1 });
+        e (Trace.T_pressure { pages = 4 });
+        e (Trace.T_fork { child = 2 });
+        e ~proc:2 (Trace.T_munmap { id = 1 });
+        mmap 4;
+        e ~proc:2 Trace.T_exit;
+        e ~proc:2 (touch 1 0).Trace.op;
+      ]
+  in
+  check Alcotest.string "radixvm steps"
+    "done,masked,skipped,masked,masked,done,done,done,done,skipped"
+    (show kinds);
+  check Alcotest.string "root keeps its regions" "0:1;0:4" (keys live)
+
 (* The canonical COW-isolation trace: fork, a parent store after the
    fork, then a child read that must still see the pre-fork value. Clean
    across the whole registry; with the injected CortenMM fork mutant
@@ -297,6 +376,8 @@ let () =
           Alcotest.test_case "stats invariant caught" `Quick
             test_stats_invariant_caught;
         ] );
+      ( "interpreter",
+        [ Alcotest.test_case "exec steps" `Quick test_exec_steps ] );
       ("caught", caught_table);
       ( "mutants",
         [

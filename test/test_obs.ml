@@ -261,7 +261,7 @@ let pre_merge_kinds =
 (* Adv and rw PT-page churn under concurrent touchers (rcu-defer, rcu-gp,
    pt-free, stale-retry), then a small serve matrix (faults, shootdowns,
    linux's rwlock downgrade). *)
-let compat_run () =
+let compat_workload () =
   let churn cfg =
     let ps = 4096 and base = 0x4000_0000 and pages = 1024 and ncpus = 4 in
     let len = pages * ps in
@@ -289,7 +289,6 @@ let compat_run () =
              done)
          ())
   in
-  Trace.start ~capacity:(1 lsl 18) ();
   churn Cortenmm.Config.adv;
   churn Cortenmm.Config.rw;
   let systems =
@@ -299,7 +298,11 @@ let compat_run () =
   in
   ignore
     (Mm_serve.Serve.run_matrix ~systems ~mix:Mm_serve.Mix.mixed
-       ~policies:Mm_serve.Serve.policies ~ncpus:4 ~sessions:40 ~seed:42 ());
+       ~policies:Mm_serve.Serve.policies ~ncpus:4 ~sessions:40 ~seed:42 ())
+
+let compat_run () =
+  Trace.start ~capacity:(1 lsl 18) ();
+  compat_workload ();
   let dropped = Trace.dropped () in
   (dropped, Trace.stop ())
 
@@ -341,6 +344,87 @@ let test_trace_text_compat () =
       check Alcotest.bool (k ^ " recorded") true
         (List.exists (fun e -> kind e = k) events))
     [ "frame-allocated"; "obj-created"; "rcu-fire"; "lock-downgrade" ]
+
+(* -- Registry contents --
+
+   The contention report and the metrics dump over one fixed traced run
+   that reaches every registry name: the compat churn (stale retries, PT
+   frees, RCU grace periods) and serve matrix (batched shootdowns),
+   concurrent unmaps (LATR drains), a THP split, and a reclaim storm (the
+   page-out daemon's wakeups and clock passes). *)
+
+let thp_split () =
+  let mib n = n * 1024 * 1024 in
+  let w = Engine.create ~ncpus:1 in
+  Engine.spawn w ~cpu:0 (fun () ->
+      let kernel = Cortenmm.Kernel.create ~ncpus:1 () in
+      let asp = Cortenmm.Addr_space.create kernel Cortenmm.Config.adv in
+      let addr =
+        Mm_compat.mmap asp ~addr:(mib 512) ~len:(mib 2) ~perm:Mm_hal.Perm.rw ()
+      in
+      Cortenmm.Mm.touch_range asp ~addr ~len:(mib 2) ~write:true;
+      assert (Cortenmm.Mm.promote_huge asp ~vaddr:addr);
+      (* Unmapping half the huge leaf splits it. *)
+      Mm_compat.munmap asp ~addr ~len:(mib 1));
+  Engine.run w
+
+let registry_run ~capacity =
+  Trace.start ~capacity ();
+  compat_workload ();
+  (* Concurrent unmaps of one shared region: remote LATR invalidations,
+     drained on the timer tick. *)
+  ignore
+    (Micro.run
+       ~kind:(System.Corten Cortenmm.Config.adv)
+       ~ncpus:4 ~bench:Micro.Unmap ~contention:Micro.High ~iters:16 ());
+  thp_split ();
+  ignore
+    (Mm_serve.Serve.run_matrix
+       ~systems:[ Result.get_ok (System.Registry.find "cortenmm-adv") ]
+       ~mix:Mm_serve.Mix.reclaim_storm ~policies:Mm_serve.Serve.policies
+       ~ncpus:2 ~sessions:240 ~seed:7 ());
+  let text = Contention.report () ^ "\n" ^ Metrics.dump () in
+  let names =
+    List.map fst (Metrics.counters ()) @ List.map fst (Metrics.histograms ())
+  in
+  ignore (Trace.stop ());
+  (text, names)
+
+(* The names perfbench's per-layer metrics read; it reads a missing name
+   as 0, so a renamed metric would silently zero a per-layer number. *)
+let perfbench_names =
+  [ "rcu.deferred"; "phys.frame_allocs"; "phys.frame_frees"; "buddy.splits";
+    "buddy.merges"; "cursor.lock_cycles"; "fault.cycles";
+    "addr_space.stale_retries"; "addr_space.pt_splits";
+    "addr_space.pt_pages_freed"; "pageoutd.wakeups"; "swapd.scanned";
+    "swapd.second_chances"; "swapd.swapped"; "tlb.shootdowns";
+    "tlb.shootdown_fanout"; "tlb.batch_flushes"; "tlb.batch_stall_cycles";
+    "tlb.latr_drained" ]
+
+let test_registry_contents () =
+  let text, names = registry_run ~capacity:(1 lsl 18) in
+  List.iter
+    (fun n -> check Alcotest.bool (n ^ " registered") true (List.mem n names))
+    perfbench_names;
+  check Alcotest.(list string) "every registry name"
+    [ "addr_space.pt_pages_freed"; "addr_space.pt_splits";
+      "addr_space.stale_retries"; "buddy.merges"; "buddy.splits";
+      "pageoutd.wakeups"; "phys.frame_allocs"; "phys.frame_frees";
+      "rcu.deferred"; "rcu.gp_callbacks"; "swapd.scanned";
+      "swapd.second_chances"; "swapd.swapped"; "tlb.batch_flushes";
+      "tlb.latr_drained"; "tlb.shootdowns"; "cursor.lock_cycles";
+      "fault.cycles"; "lock.hold_cycles"; "lock.wait_cycles";
+      "phys.alloc_order"; "tlb.batch_stall_cycles"; "tlb.shootdown_fanout" ]
+    names;
+  check Alcotest.string "report and dump digest"
+    "de89cbc1dd9a13bb7d6ef34aa08a5970"
+    (Digest.to_hex (Digest.string text))
+
+(* Rings that wrap on almost every event must not change a registry. *)
+let test_registries_ignore_ring_drops () =
+  let full, _ = registry_run ~capacity:(1 lsl 18) in
+  let tiny, _ = registry_run ~capacity:16 in
+  check Alcotest.string "identical report and dump" full tiny
 
 (* -- Stale-retry agreement (adv protocol, Fig 6 L10-13) -- *)
 
@@ -485,6 +569,10 @@ let () =
             test_quantile_registry_independence;
           Alcotest.test_case "contention ranking" `Quick
             test_contention_ranking;
+          Alcotest.test_case "registry contents" `Quick
+            test_registry_contents;
+          Alcotest.test_case "registries ignore ring drops" `Quick
+            test_registries_ignore_ring_drops;
         ] );
       ( "integration",
         [

@@ -42,6 +42,18 @@ cmp /tmp/bench_j1.out /tmp/bench_j2.out \
 cmp /tmp/bj_seq.json /tmp/bj.json \
   || { echo "bench: -j 2 --json differs from -j 1"; exit 1; }
 
+echo "== bench: --report leaves --json byte-identical =="
+# The metrics and contention registries are bus subscribers of the
+# --report session; subscribing them must not move a simulated cycle,
+# including in the entries that drive pageoutd and batched shootdowns.
+RP_IDS=fig13,ext-reclaim,ext-fleet
+dune exec bench/main.exe -- --only "$RP_IDS" --json /tmp/rp_plain.json \
+  > /dev/null 2>&1
+dune exec bench/main.exe -- --only "$RP_IDS" --json /tmp/rp_report.json \
+  --report > /dev/null 2>&1
+cmp /tmp/rp_plain.json /tmp/rp_report.json \
+  || { echo "bench: --report changed the --json results"; exit 1; }
+
 echo "== bench cells: reduced fig14 -j 2 stream and JSON byte-identical to -j 1 =="
 # MM_FIG14_SUBSET shrinks the sweep to a seconds-long subset; unlike the
 # fig1/fig13 gate above, fig14 decomposes into per-(contention, bench,

@@ -281,10 +281,7 @@ let adv_lock t ~lo ~hi =
       Mm_sim.Mutex_s.unlock (Mm_phys.Frame.lock cover.Pt.frame);
       Mm_sim.Rcu_s.read_unlock rcu;
       t.stale_retries <- t.stale_retries + 1;
-      if Mm_obs.Bus.on () then begin
-        Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "addr_space.stale_retries");
-        Mm_sim.Engine.obs Mm_obs.Event.Stale_retry
-      end;
+      if Mm_obs.Bus.on () then Mm_sim.Engine.obs Mm_obs.Event.Stale_retry;
       retry ()
     end
     else begin
@@ -345,15 +342,11 @@ let lock t ~lo ~hi =
     | Config.Rw -> rw_lock t ~lo ~hi
     | Config.Adv -> adv_lock t ~lo ~hi
   in
-  if observed then begin
-    let span = Mm_sim.Engine.now () - t0 in
-    Mm_obs.Metrics.observe
-      (Mm_obs.Metrics.histogram "cursor.lock_cycles")
-      span;
+  if observed then
     Mm_sim.Engine.obs
       (Mm_obs.Event.Cursor_lock
-         { asp = t.id; lo; hi; locked = List.length c.locked; span })
-  end;
+         { asp = t.id; lo; hi; locked = List.length c.locked;
+           span = Mm_sim.Engine.now () - t0 });
   c
 
 (* -- Commit (RCursor Drop, Fig 4 L23) -- *)
@@ -566,14 +559,10 @@ let free_child c (parent : node) idx (child : node) =
   let detached = Pt.detach_child t.pt parent idx in
   assert (detached == child);
   let nodes = subtree_nodes t child in
-  if Mm_obs.Bus.on () then begin
-    Mm_obs.Metrics.add
-      (Mm_obs.Metrics.counter "addr_space.pt_pages_freed")
-      (List.length nodes);
+  if Mm_obs.Bus.on () then
     Mm_sim.Engine.obs
       (Mm_obs.Event.Pt_free
-         { level = child.Pt.level; pages = List.length nodes })
-  end;
+         { level = child.Pt.level; pages = List.length nodes });
   (match t.cfg.Config.protocol with
   | Config.Adv ->
     (* Fig 6 L29-35: mark stale and unlock bottom-up, then hand the pages
@@ -705,12 +694,10 @@ let split_huge c (node : node) idx (l : Pte.t) =
   let t = c.asp in
   match l with
   | Pte.Leaf { pfn; perm; accessed; dirty; global } ->
-    if Mm_obs.Bus.on () then begin
-      Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "addr_space.pt_splits");
+    if Mm_obs.Bus.on () then
       Mm_sim.Engine.obs
         (Mm_obs.Event.Pt_split
-           { vaddr = Pt.node_base t.pt node; level = node.Pt.level })
-    end;
+           { vaddr = Pt.node_base t.pt node; level = node.Pt.level });
     let origin = meta_get node idx in
     let n = entries_per_node t in
     let geo = t.kernel.Kernel.isa.Isa.geo in

@@ -13,8 +13,6 @@ type backing =
   | File_private of File.t * int (* file, offset *)
   | Shared of File.t * int (* shared file / shm object *)
 
-exception Enomem
-
 type fault_outcome = Handled | Sigsegv
 
 let status_of_backing backing perm =
@@ -288,11 +286,10 @@ let page_fault asp ~vaddr ~write =
           Handled
         end)
   in
-  if observed then begin
-    let span = Mm_sim.Engine.now () - t0 in
-    Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "fault.cycles") span;
-    Mm_sim.Engine.obs (Mm_obs.Event.Page_fault { vaddr = page; write; span })
-  end;
+  if observed then
+    Mm_sim.Engine.obs
+      (Mm_obs.Event.Page_fault
+         { vaddr = page; write; span = Mm_sim.Engine.now () - t0 });
   outcome
 
 (* -- Transparent huge pages (khugepaged-style promotion) -- *)
@@ -694,7 +691,7 @@ let mmap_r asp ?addr ?backing ?policy ~len ~perm () =
   if len <= 0 || bad_addr then Error Errno.EINVAL
   else
     try Ok (mmap asp ?addr ?backing ?policy ~len ~perm ())
-    with Enomem | Mm_phys.Buddy.Out_of_memory | Va_alloc.Va_exhausted ->
+    with Mm_phys.Buddy.Out_of_memory | Va_alloc.Va_exhausted ->
       Error Errno.ENOMEM
 
 let munmap_r asp ~addr ~len =

@@ -6,8 +6,6 @@ type backing =
   | File_private of File.t * int (** file, byte offset *)
   | Shared of File.t * int (** shared file or shm object *)
 
-exception Enomem
-
 type fault_outcome = Handled | Sigsegv
 
 exception Fault of int

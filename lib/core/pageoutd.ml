@@ -146,22 +146,17 @@ let reclaim_file_pages t file ~target =
    walk, so they survive; cold pages go to disk and fault back in
    transparently. *)
 
-(* Account a pass in the daemon's stats and, mirrored, in the metrics
-   registry so reclaim activity shows up in [--report]/[--json] like
-   every other subsystem. The names stay [swapd.*] because perfbench
-   reads them. *)
+(* Account a pass in the daemon's stats and announce it on the bus
+   ([Reclaim_pass]), which the metrics registry files under the
+   [swapd.*] names perfbench reads. *)
 let note_pass t ~scanned ~second_chances ~swapped =
   let s = t.stats in
   s.scanned <- s.scanned + scanned;
   s.second_chances <- s.second_chances + second_chances;
   s.swapped <- s.swapped + swapped;
-  if Mm_obs.Bus.on () then begin
-    Mm_obs.Metrics.add (Mm_obs.Metrics.counter "swapd.scanned") scanned;
-    Mm_obs.Metrics.add
-      (Mm_obs.Metrics.counter "swapd.second_chances")
-      second_chances;
-    Mm_obs.Metrics.add (Mm_obs.Metrics.counter "swapd.swapped") swapped
-  end
+  if Mm_obs.Bus.on () then
+    Mm_sim.Engine.obs
+      (Mm_obs.Event.Reclaim_pass { scanned; second_chances; swapped })
 
 (* One clock pass over [asp]: reclaim up to [target] pages. Candidate
    discovery walks the page table lock-free (a streaming scan, like
@@ -242,7 +237,6 @@ let pressure t ~target_pages =
   else begin
     t.stats.wakeups <- t.stats.wakeups + 1;
     if Mm_obs.Bus.on () then begin
-      Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "pageoutd.wakeups");
       Mm_sim.Engine.obs
         (Mm_obs.Event.Reclaim_waken
            {

@@ -1,7 +1,8 @@
 (** The instrumentation bus: the single emission point for {!Event}s and
-    its domain-local subscriber list. The trace ring ({!Trace.start} /
-    {!Trace.stop}) and the runtime invariant checker ([Mm_verif.Live])
-    are its subscribers. With no subscriber an instrumentation site pays
+    its domain-local subscriber list. A tracing session ({!Trace.start} /
+    {!Trace.stop}: the {!Metrics} and {!Contention} registries and the
+    trace ring) and the runtime invariant checker ([Mm_verif.Live]) are
+    its subscribers. With no subscriber an instrumentation site pays
     one check ({!on}); emitting never advances virtual time, so observed
     and unobserved runs produce bit-identical simulation results. *)
 
@@ -15,8 +16,8 @@ val unsubscribe : subscription -> unit
 
 val on : unit -> bool
 (** Whether anything is subscribed — the guard every instrumentation
-    site checks before building a payload or updating {!Metrics} and
-    {!Contention}. *)
+    site checks before building a payload. Emitting is all a site does:
+    {!Metrics} and {!Contention} are written only by their subscribers. *)
 
 val emit : time:int -> cpu:int -> Event.payload -> unit
 (** Stamp the payload with the next sequence number and deliver it to

@@ -14,16 +14,18 @@ let cat = function
     ->
     "lock"
   | Rcu_enter | Rcu_exit | Rcu_defer _ | Rcu_gp _ | Rcu_fire _ -> "rcu"
-  | Tlb_shootdown _ | Tlb_latr_drain _ -> "tlb"
+  | Tlb_shootdown _ | Tlb_latr_drain _ | Tlb_batch_flush _ -> "tlb"
   | Pt_split _ | Pt_free _ -> "pt"
   | Cursor_lock _ | Cursor_commit _ | Stale_retry -> "cursor"
   | Page_fault _ -> "fault"
-  | Frame_allocated _ | Frame_deferred _ | Frame_freed _ -> "frame"
+  | Frame_allocated _ | Frame_deferred _ | Frame_freed _ | Frame_returned _
+    ->
+    "frame"
   | Obj_created _ | Obj_ref _ | Obj_unref _ | Obj_collapsed _
   | Obj_destroyed _ ->
     "object"
   | Page_wired _ | Page_unwired _ | Page_dirtied _ | Reclaim_waken _
-  | Reclaim_page _ | Reclaim_writeback _ | Reclaim_drop _ ->
+  | Reclaim_page _ | Reclaim_writeback _ | Reclaim_drop _ | Reclaim_pass _ ->
     "reclaim"
   | Span_begin _ | Span_end _ | Counter _ -> "user"
 

@@ -2,10 +2,10 @@
 
    Every simulated lock gets a cheap integer id at creation ([fresh_id] is
    one increment — frames allocate two locks each, so registration must
-   not allocate). A lock enters this table only on its first *profiled*
-   operation, i.e. while a profiling session is active, so idle locks cost
-   nothing and the table stays small (only locks that were actually
-   exercised).
+   not allocate). The table is a fold over the lock events of the bus
+   ({!record}, subscribed by a tracing session): a lock enters it on its
+   first observed acquire or release, named by the label the event
+   carries, so idle locks cost nothing and the table stays small.
 
    "Serialized cycles" is the total virtual time fibers spent waiting to
    acquire the lock — exactly the quantity the paper's scalability
@@ -46,6 +46,12 @@ let reset () =
   Hashtbl.reset s.table;
   s.next_id <- 0
 
+let kind_label = function
+  | Event.Mutex -> "mutex"
+  | Rw_read | Rw_write -> "rwlock"
+
+(* Both sides of a rwlock share one [Rw_write] entry; an unnamed lock is
+   [mutex#id] or [rwlock#id]. *)
 let get ~id ~kind ~name =
   let table = (Domain.DLS.get state_key).table in
   match Hashtbl.find_opt table id with
@@ -54,8 +60,11 @@ let get ~id ~kind ~name =
     let e =
       {
         id;
-        kind;
-        name = name ();
+        kind = (if kind = Event.Mutex then Event.Mutex else Event.Rw_write);
+        name =
+          (match name with
+          | Some n -> n
+          | None -> Printf.sprintf "%s#%d" (kind_label kind) id);
         acquisitions = 0;
         contended = 0;
         wait_cycles = 0;
@@ -75,6 +84,15 @@ let acquired e ~wait =
   end
 
 let released e ~held = if held > 0 then e.hold_cycles <- e.hold_cycles + held
+
+(* A reader's release carries no hold time and records nothing. *)
+let record (e : Event.t) =
+  match e.payload with
+  | Lock_acquire { lock; kind; wait; name } ->
+    acquired (get ~id:lock ~kind ~name) ~wait
+  | Lock_release { lock; kind = (Mutex | Rw_write) as kind; held; name } ->
+    released (get ~id:lock ~kind ~name) ~held
+  | _ -> ()
 
 let name_of id =
   match Hashtbl.find_opt (Domain.DLS.get state_key).table id with
@@ -108,11 +126,8 @@ let report ?(limit = 20) () =
         if i < limit then
           Buffer.add_string b
             (Printf.sprintf "%-32s %-8s %10d %10d %12d %10d %12d\n" e.name
-               (match e.kind with
-               | Event.Mutex -> "mutex"
-               | Event.Rw_read | Event.Rw_write -> "rwlock")
-               e.acquisitions e.contended e.wait_cycles e.max_wait
-               e.hold_cycles))
+               (kind_label e.kind) e.acquisitions e.contended e.wait_cycles
+               e.max_wait e.hold_cycles))
       entries;
     let n = List.length entries in
     if n > limit then

@@ -1,5 +1,6 @@
 (** Per-lock contention profile: serialized (wait) cycles, hold time,
-    acquisition counts. Locks register lazily on first profiled use. *)
+    acquisition counts, folded from the bus's lock events. Locks register
+    lazily on first observed use. *)
 
 type entry = {
   id : int;
@@ -17,11 +18,9 @@ val fresh_id : unit -> int
     reset by {!reset} (i.e. at {!Trace.start}), so identical runs started
     after a reset see identical ids. *)
 
-val get : id:int -> kind:Event.lock_kind -> name:(unit -> string) -> entry
-(** Find the entry for a lock, creating (and naming) it on first use. *)
-
-val acquired : entry -> wait:int -> unit
-val released : entry -> held:int -> unit
+val record : Event.t -> unit
+(** The table's one writer, a {!Bus} subscriber ({!Trace.start}
+    subscribes it). *)
 
 val name_of : int -> string
 val ranked : unit -> entry list

@@ -2,8 +2,8 @@
    announces on {!Bus} — lock, RCU and cursor-transaction transitions,
    TLB and page-table maintenance, faults, frame, object and reclaim
    lifecycles. The trace ring ({!Trace}) records it for Perfetto and the
-   text form; the runtime invariant checker ([Mm_verif.Live]) consumes
-   the same stream.
+   text form, {!Metrics} and {!Contention} are folds over it, and the
+   runtime invariant checker ([Mm_verif.Live]) consumes the same stream.
 
    Every event is stamped with the *virtual* time and CPU of the
    emitting fiber (time 0 and cpu -1 outside a fiber) and a global
@@ -27,10 +27,13 @@ let lock_kind_name = function
   | Rw_write -> "rw-write"
 
 type payload =
-  (* Lock protocol events. [lock] is the registry id ({!Contention}); the
-     acting CPU is the event's [cpu] stamp. *)
-  | Lock_acquire of { lock : int; kind : lock_kind; wait : int }
-  | Lock_release of { lock : int; kind : lock_kind; held : int }
+  (* Lock protocol events. [lock] is the registry id ({!Contention}) and
+     [name] the lock's own label (not printed); the acting CPU is the
+     event's [cpu] stamp. *)
+  | Lock_acquire of
+      { lock : int; kind : lock_kind; wait : int; name : string option }
+  | Lock_release of
+      { lock : int; kind : lock_kind; held : int; name : string option }
   | Lock_contend of { lock : int; kind : lock_kind }
   | Lock_downgrade of { lock : int }
       (* rwlock writer -> reader, right after its write-side
@@ -47,6 +50,9 @@ type payload =
   (* TLB maintenance. *)
   | Tlb_shootdown of { vpns : int; targets : int; ipis : int }
   | Tlb_latr_drain of { entries : int }
+  | Tlb_batch_flush of { stalls : int list }
+      (* a batch of deferred shootdowns completed; [stalls]: each
+         record's enqueue-to-flush cycles *)
   (* Page-table structure changes. *)
   | Pt_split of { vaddr : int; level : int }
   | Pt_free of { level : int; pages : int }
@@ -59,7 +65,10 @@ type payload =
   (* Fault path. *)
   | Page_fault of { vaddr : int; write : bool; span : int }
   (* Physical frames. *)
-  | Frame_allocated of { pfn : int; pages : int }
+  | Frame_allocated of { pfn : int; pages : int; splits : int }
+      (* [splits]: buddy splits the allocation took (not printed) *)
+  | Frame_returned of { pfn : int; pages : int; merges : int }
+      (* Every return to the buddy allocator, with the merges it took. *)
   | Frame_deferred of { pfn : int; pages : int }
       (* The free waits behind a pending (batched) TLB shootdown; the
          frame must not be reallocated before its [Frame_freed]. *)
@@ -86,6 +95,8 @@ type payload =
   | Reclaim_writeback of { file : int; page : int }
   | Reclaim_drop of { file : int; page : int; pfn : int }
       (* a page-cache frame was released after any required writeback *)
+  | Reclaim_pass of { scanned : int; second_chances : int; swapped : int }
+      (* one clock pass over an address space *)
   (* Generic instrumentation. *)
   | Span_begin of { name : string }
   | Span_end of { name : string }
@@ -105,6 +116,7 @@ let name = function
   | Rcu_fire _ -> "rcu-fire"
   | Tlb_shootdown _ -> "tlb-shootdown"
   | Tlb_latr_drain _ -> "tlb-latr-drain"
+  | Tlb_batch_flush _ -> "tlb-batch-flush"
   | Pt_split _ -> "pt-split"
   | Pt_free _ -> "pt-free"
   | Cursor_lock _ -> "cursor-lock"
@@ -112,6 +124,7 @@ let name = function
   | Stale_retry -> "stale-retry"
   | Page_fault _ -> "page-fault"
   | Frame_allocated _ -> "frame-allocated"
+  | Frame_returned _ -> "frame-returned"
   | Frame_deferred _ -> "frame-deferred"
   | Frame_freed _ -> "frame-freed"
   | Obj_created _ -> "obj-created"
@@ -126,6 +139,7 @@ let name = function
   | Reclaim_page _ -> "reclaim-page"
   | Reclaim_writeback _ -> "reclaim-writeback"
   | Reclaim_drop _ -> "reclaim-drop"
+  | Reclaim_pass _ -> "reclaim-pass"
   | Span_begin _ -> "span-begin"
   | Span_end _ -> "span-end"
   | Counter _ -> "counter"
@@ -134,11 +148,12 @@ let kind_code = function Mutex -> 0 | Rw_read -> 1 | Rw_write -> 2
 
 (* The integer arguments of the text and Perfetto forms. The kinds that
    predate the merged stream keep their argument lists exactly, so their
-   text is unchanged: [asp], [cb] and [waiting] are not printed. *)
+   text is unchanged: [asp], [cb], [waiting], a lock's [name] and an
+   allocation's [splits] are not printed. *)
 let payload_args = function
-  | Lock_acquire { lock; kind; wait } ->
+  | Lock_acquire { lock; kind; wait; _ } ->
     [ ("lock", lock); ("wait", wait); ("k", kind_code kind) ]
-  | Lock_release { lock; kind; held } ->
+  | Lock_release { lock; kind; held; _ } ->
     [ ("lock", lock); ("held", held); ("k", kind_code kind) ]
   | Lock_contend { lock; kind } -> [ ("lock", lock); ("k", kind_code kind) ]
   | Lock_downgrade { lock } -> [ ("lock", lock) ]
@@ -149,6 +164,7 @@ let payload_args = function
   | Tlb_shootdown { vpns; targets; ipis } ->
     [ ("vpns", vpns); ("targets", targets); ("ipis", ipis) ]
   | Tlb_latr_drain { entries } -> [ ("entries", entries) ]
+  | Tlb_batch_flush { stalls } -> [ ("records", List.length stalls) ]
   | Pt_split { vaddr; level } -> [ ("vaddr", vaddr); ("level", level) ]
   | Pt_free { level; pages } -> [ ("level", level); ("pages", pages) ]
   | Cursor_lock { lo; hi; locked; span; _ } ->
@@ -157,10 +173,12 @@ let payload_args = function
     [ ("lo", lo); ("hi", hi); ("flushed", flushed) ]
   | Page_fault { vaddr; write; span } ->
     [ ("vaddr", vaddr); ("write", (if write then 1 else 0)); ("span", span) ]
-  | Frame_allocated { pfn; pages }
+  | Frame_allocated { pfn; pages; _ }
   | Frame_deferred { pfn; pages }
   | Frame_freed { pfn; pages } ->
     [ ("pfn", pfn); ("pages", pages) ]
+  | Frame_returned { pfn; pages; merges } ->
+    [ ("pfn", pfn); ("pages", pages); ("merges", merges) ]
   | Obj_created { obj; parent } -> [ ("obj", obj); ("parent", parent) ]
   | Obj_ref { obj; refs } | Obj_unref { obj; refs } ->
     [ ("obj", obj); ("refs", refs) ]
@@ -173,6 +191,9 @@ let payload_args = function
   | Reclaim_waken { free; target } -> [ ("free", free); ("target", target) ]
   | Reclaim_drop { file; page; pfn } ->
     [ ("file", file); ("page", page); ("pfn", pfn) ]
+  | Reclaim_pass { scanned; second_chances; swapped } ->
+    [ ("scanned", scanned); ("second_chances", second_chances);
+      ("swapped", swapped) ]
   | Span_begin _ | Span_end _ -> []
   | Counter { value; _ } -> [ ("value", value) ]
 

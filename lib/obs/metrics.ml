@@ -1,12 +1,11 @@
-(* A registry of named counters and histograms that any layer can register
-   into. Counters are plain ints; histograms bucket values by log2 (good
+(* A registry of named counters and histograms, filled from the event
+   stream alone: {!record} is a {!Bus} subscriber (a tracing session
+   subscribes it) and the one place that maps an event kind to a name.
+   Counters are plain ints; histograms bucket values by log2 (good
    enough for cycle counts spanning orders of magnitude) and keep exact
    count/sum/min/max so means are precise even though percentiles are
-   bucket-resolution.
-
-   The registry is global (instrumentation sites are scattered across
-   every layer and must not thread a handle around) and deterministic:
-   enumeration is sorted by name, never by hash order. *)
+   bucket-resolution. Enumeration is sorted by name, never by hash
+   order. *)
 
 type counter = { c_name : string; mutable count : int }
 
@@ -19,11 +18,7 @@ type histogram = {
   mutable max_v : int;
 }
 
-(* The registry is domain-local: each domain of a parallel driver
-   accumulates into its own tables (its tasks reset them at task
-   start), so instrumentation sites on two domains never race. Within
-   a domain it keeps the process-global feel instrumentation sites
-   rely on. *)
+(* The registry is domain-local, like the bus that feeds it. *)
 type registry = {
   reg_counters : (string, counter) Hashtbl.t;
   reg_histograms : (string, histogram) Hashtbl.t;
@@ -46,8 +41,6 @@ let counter name =
     c
 
 let add c by = c.count <- c.count + by
-let inc c = add c 1
-let count c = c.count
 
 let nbuckets = 63
 
@@ -96,6 +89,43 @@ let observe h v =
   h.sum <- h.sum + v;
   if v < h.min_v then h.min_v <- v;
   if v > h.max_v then h.max_v <- v
+
+(* The event kind -> registry name map. The [buddy.*] counters appear
+   only once they move; the [swapd.*] ones with the first pass. *)
+let record (e : Event.t) =
+  let bump name by = add (counter name) by in
+  let obs name v = observe (histogram name) v in
+  match e.payload with
+  | Lock_acquire { wait; _ } -> obs "lock.wait_cycles" wait
+  | Lock_release { kind = Mutex | Rw_write; held; _ } ->
+    obs "lock.hold_cycles" held
+  | Rcu_defer _ -> bump "rcu.deferred" 1
+  | Rcu_gp { callbacks } -> bump "rcu.gp_callbacks" callbacks
+  | Tlb_shootdown { targets; _ } ->
+    bump "tlb.shootdowns" 1;
+    obs "tlb.shootdown_fanout" targets
+  | Tlb_latr_drain { entries } -> bump "tlb.latr_drained" entries
+  | Tlb_batch_flush { stalls } ->
+    List.iter (obs "tlb.batch_stall_cycles") stalls;
+    bump "tlb.batch_flushes" 1
+  | Frame_allocated { pages; splits; _ } ->
+    bump "phys.frame_allocs" 1;
+    obs "phys.alloc_order" (bucket_of pages);
+    if splits > 0 then bump "buddy.splits" splits
+  | Frame_returned { merges; _ } ->
+    bump "phys.frame_frees" 1;
+    if merges > 0 then bump "buddy.merges" merges
+  | Page_fault { span; _ } -> obs "fault.cycles" span
+  | Cursor_lock { span; _ } -> obs "cursor.lock_cycles" span
+  | Stale_retry -> bump "addr_space.stale_retries" 1
+  | Pt_split _ -> bump "addr_space.pt_splits" 1
+  | Pt_free { pages; _ } -> bump "addr_space.pt_pages_freed" pages
+  | Reclaim_waken _ -> bump "pageoutd.wakeups" 1
+  | Reclaim_pass { scanned; second_chances; swapped } ->
+    bump "swapd.scanned" scanned;
+    bump "swapd.second_chances" second_chances;
+    bump "swapd.swapped" swapped
+  | _ -> ()
 
 let mean h = if h.n = 0 then 0.0 else float_of_int h.sum /. float_of_int h.n
 let samples h = h.n

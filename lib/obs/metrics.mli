@@ -1,19 +1,13 @@
-(** Registry of named counters and log2-bucketed histograms. Global (any
-    layer registers by name) and deterministic (enumeration is sorted by
-    name). *)
+(** Registry of named counters and log2-bucketed histograms, a fold over
+    the event stream: only {!record} writes it. Deterministic
+    (enumeration is sorted by name). *)
 
-type counter
 type histogram
 
-val counter : string -> counter
-(** Find or create the counter with this name. *)
-
-val inc : counter -> unit
-val add : counter -> int -> unit
-val count : counter -> int
-
-val histogram : string -> histogram
-(** Find or create the histogram with this name. *)
+val record : Event.t -> unit
+(** The registry's one writer, a {!Bus} subscriber ({!Trace.start}
+    subscribes it): maps each event kind to its counters and
+    histograms. *)
 
 val unregistered : string -> histogram
 (** A fresh histogram outside the registry: it never appears in

@@ -6,19 +6,20 @@
    per event after warmup. *)
 
 type 'a t = {
-  data : 'a option array;
+  mutable data : 'a array; (* filled with the first push; [||] before *)
   capacity : int;
   mutable pushed : int; (* total pushes ever *)
 }
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity";
-  { data = Array.make capacity None; capacity; pushed = 0 }
+  { data = [||]; capacity; pushed = 0 }
 
 let capacity t = t.capacity
 
 let push t v =
-  t.data.(t.pushed mod t.capacity) <- Some v;
+  if Array.length t.data = 0 then t.data <- Array.make t.capacity v;
+  t.data.(t.pushed mod t.capacity) <- v;
   t.pushed <- t.pushed + 1
 
 let length t = min t.pushed t.capacity
@@ -28,13 +29,10 @@ let dropped t = max 0 (t.pushed - t.capacity)
 let to_list t =
   let n = length t in
   let first = t.pushed - n in
-  List.init n (fun i ->
-      match t.data.((first + i) mod t.capacity) with
-      | Some v -> v
-      | None -> assert false)
+  List.init n (fun i -> t.data.((first + i) mod t.capacity))
 
 let iter t f = List.iter f (to_list t)
 
 let clear t =
-  Array.fill t.data 0 t.capacity None;
+  t.data <- [||];
   t.pushed <- 0

@@ -1,5 +1,6 @@
-(* The tracing session: per-vCPU event rings, subscribed to the bus for
-   the session's lifetime.
+(* The tracing session: three bus subscribers for the session's
+   lifetime — {!Metrics.record}, {!Contention.record} and the per-vCPU
+   event rings. The registries see every event; the rings may drop.
 
    Zero-overhead-when-disabled: with no subscriber the only cost an
    instrumentation site pays is the [Bus.on ()] check. Nothing in this
@@ -20,7 +21,7 @@ let max_cpus = 1024
 type session = {
   rings : Event.t Ring.t option array; (* by cpu, created lazily *)
   capacity : int; (* per-cpu ring capacity *)
-  sub : Bus.subscription; (* the ring's delivery from the bus *)
+  subs : Bus.subscription list;
 }
 
 (* Domain-local: a tracing session belongs to the domain that started
@@ -48,7 +49,7 @@ let record rings ~capacity (e : Event.t) =
   end
 
 let close () =
-  Option.iter (fun s -> Bus.unsubscribe s.sub) !(current ());
+  Option.iter (fun s -> List.iter Bus.unsubscribe s.subs) !(current ());
   current () := None
 
 let start ?(capacity = 1 lsl 16) () =
@@ -58,8 +59,11 @@ let start ?(capacity = 1 lsl 16) () =
   Contention.reset ();
   Bus.reset_seq ();
   let rings = Array.make max_cpus None in
-  let sub = Bus.subscribe (record rings ~capacity) in
-  current () := Some { rings; capacity; sub }
+  let subs =
+    List.map Bus.subscribe
+      [ Metrics.record; Contention.record; record rings ~capacity ]
+  in
+  current () := Some { rings; capacity; subs }
 
 let collect s =
   let all =

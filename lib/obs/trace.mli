@@ -1,12 +1,14 @@
-(** The tracing session: per-vCPU event rings subscribed to the {!Bus}.
-    Recording never advances virtual time, so traced and untraced runs
-    produce bit-identical simulation results. *)
+(** The tracing session: {!Metrics.record}, {!Contention.record} and
+    per-vCPU event rings, subscribed to the {!Bus}. Recording never
+    advances virtual time, so traced and untraced runs produce
+    bit-identical simulation results. *)
 
 val start : ?capacity:int -> unit -> unit
 (** Open a session (per-vCPU ring capacity defaults to 65536 events),
     replacing any open one. Resets {!Metrics}, {!Contention} — including
     the lock-id counter — and the bus sequence number, so identical runs
-    after [start] yield byte-identical streams. *)
+    after [start] yield byte-identical streams. The registries see every
+    event, including those the rings drop. *)
 
 val on : unit -> bool
 (** Whether a session is active. *)

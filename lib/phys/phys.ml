@@ -91,32 +91,16 @@ let iter_frames t f =
     (fun _ c -> Array.iter (fun fr -> if fr != Frame.vacant then f fr) c)
     t.chunks
 
-(* Allocator observability: splits/merges deltas around the buddy call,
-   recorded only while something observes the bus, so unobserved runs
-   never touch the metrics registry. *)
-let note_alloc t ~node ~order ~splits0 ~pfn =
-  if Mm_obs.Bus.on () then begin
-    Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "phys.frame_allocs");
-    Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "phys.alloc_order") order;
-    let d = Buddy.splits t.buddies.(node) - splits0 in
-    if d > 0 then Mm_obs.Metrics.add (Mm_obs.Metrics.counter "buddy.splits") d;
-    Mm_sim.Engine.obs
-      (Mm_obs.Event.Frame_allocated { pfn; pages = 1 lsl order })
-  end
-
-let note_free t ~node ~merges0 =
-  if Mm_obs.Bus.on () then begin
-    Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "phys.frame_frees");
-    let d = Buddy.merges t.buddies.(node) - merges0 in
-    if d > 0 then Mm_obs.Metrics.add (Mm_obs.Metrics.counter "buddy.merges") d
-  end
-
 let alloc t ~kind ?(order = 0) ?(node = 0) () =
   if node < 0 || node >= numa_nodes t then invalid_arg "Phys.alloc: node";
-  let splits0 = Buddy.splits t.buddies.(node) in
-  let pfn = (node * t.node_span) + Buddy.alloc t.buddies.(node) ~order in
-  note_alloc t ~node ~order ~splits0 ~pfn;
+  let b = t.buddies.(node) in
+  let splits0 = Buddy.splits b in
+  let pfn = (node * t.node_span) + Buddy.alloc b ~order in
   let n = 1 lsl order in
+  if Mm_obs.Bus.on () then
+    Mm_sim.Engine.obs
+      (Mm_obs.Event.Frame_allocated
+         { pfn; pages = n; splits = Buddy.splits b - splits0 });
   t.counts.(kind_index kind) <- t.counts.(kind_index kind) + n;
   (let data =
      t.counts.(kind_index Frame.Anon) + t.counts.(kind_index Frame.File_page)
@@ -144,9 +128,13 @@ let free t (f : Frame.t) =
     fi.Frame.kind <- Frame.Free
   done;
   let node = node_of_pfn t f.Frame.pfn in
-  let merges0 = Buddy.merges t.buddies.(node) in
-  Buddy.free t.buddies.(node) ~pfn:(f.Frame.pfn - (node * t.node_span)) ~order;
-  note_free t ~node ~merges0
+  let b = t.buddies.(node) in
+  let merges0 = Buddy.merges b in
+  Buddy.free b ~pfn:(f.Frame.pfn - (node * t.node_span)) ~order;
+  if Mm_obs.Bus.on () then
+    Mm_sim.Engine.obs
+      (Mm_obs.Event.Frame_returned
+         { pfn = f.Frame.pfn; pages = n; merges = Buddy.merges b - merges0 })
 
 (* Sub-page kernel allocations (metadata arrays, VMA structs…) tracked for
    the overhead accounting; a slab allocator is modelled by byte counts. *)

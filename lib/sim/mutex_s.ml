@@ -7,11 +7,12 @@
    queue of parked fibers, and a [line_transfer] handoff latency.
    CortenMM_adv uses this as the per-PT-page lock (paper §4.5).
 
-   Observability: each lock carries a cheap integer id; profile entries and
-   bus events are produced only while something observes ([Bus.on]), and
-   emitting never advances virtual time. Wait time is the parked
-   duration (cycles serialized behind the holder), not the line-transfer
-   cost of an uncontended acquire. *)
+   Observability: each lock carries a cheap integer id; its lock events,
+   which carry the lock's name for the contention profile, are emitted
+   only while something observes ([Bus.on]), and emitting never advances
+   virtual time. Wait time is the parked duration (cycles serialized
+   behind the holder), not the line-transfer cost of an uncontended
+   acquire. *)
 
 type t = {
   line : Engine.Line.t;
@@ -41,20 +42,12 @@ let make ?id ?name () =
 
 let set_name t name = t.name <- Some name
 
-let profile t =
-  Mm_obs.Contention.get ~id:t.id ~kind:Mm_obs.Event.Mutex ~name:(fun () ->
-      match t.name with
-      | Some n -> n
-      | None -> Printf.sprintf "mutex#%d" t.id)
-
 let note_acquired t ~wait =
   t.acquired_at <- Engine.now ();
-  if Mm_obs.Bus.on () then begin
-    Mm_obs.Contention.acquired (profile t) ~wait;
-    Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.wait_cycles") wait;
+  if Mm_obs.Bus.on () then
     Engine.obs
-      (Mm_obs.Event.Lock_acquire { lock = t.id; kind = Mm_obs.Event.Mutex; wait })
-  end
+      (Mm_obs.Event.Lock_acquire
+         { lock = t.id; kind = Mm_obs.Event.Mutex; wait; name = t.name })
 
 let lock t =
   Engine.Line.rmw t.line;
@@ -92,13 +85,11 @@ let unlock t =
   if t.holder <> Engine.cpu_id () then
     failwith "Mutex_s.unlock: unlocked by non-holder";
   Engine.tick Cost.cache_hit;
-  if Mm_obs.Bus.on () then begin
-    let held = Engine.now () - t.acquired_at in
-    Mm_obs.Contention.released (profile t) ~held;
-    Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.hold_cycles") held;
+  if Mm_obs.Bus.on () then
     Engine.obs
-      (Mm_obs.Event.Lock_release { lock = t.id; kind = Mm_obs.Event.Mutex; held })
-  end;
+      (Mm_obs.Event.Lock_release
+         { lock = t.id; kind = Mm_obs.Event.Mutex; name = t.name;
+           held = Engine.now () - t.acquired_at });
   match Queue.take_opt t.waiters with
   | None ->
     t.locked <- false;

@@ -74,9 +74,7 @@ let quiesce t cpu =
   (match ready with
   | [] -> ()
   | _ when Mm_obs.Bus.on () ->
-    let n = List.length ready in
-    Mm_obs.Metrics.add (Mm_obs.Metrics.counter "rcu.gp_callbacks") n;
-    Engine.obs (Mm_obs.Event.Rcu_gp { callbacks = n })
+    Engine.obs (Mm_obs.Event.Rcu_gp { callbacks = List.length ready })
   | _ -> ());
   List.iter
     (fun cb ->
@@ -130,7 +128,6 @@ let defer t fn =
      without yielding, so no read-side transition can slip in between,
      and the defer still precedes its fire in the stream. *)
   if observed then begin
-    Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "rcu.deferred");
     Engine.obs
       (Mm_obs.Event.Rcu_defer
          {

@@ -15,10 +15,11 @@
    CortenMM_rw (reader RMWs or revocation scans on the root lock) and
    CortenMM_adv (no reader-side shared writes at all).
 
-   Observability mirrors {!Mutex_s}: integer id at creation, lazy profile
-   entry, events only while something observes. Wait time is the parked duration; hold
-   time is tracked for the exclusive (writer) side only — readers overlap,
-   so a per-reader hold would need per-fiber state the model doesn't keep. *)
+   Observability mirrors {!Mutex_s}: integer id at creation, named lock
+   events only while something observes. Wait time is the parked
+   duration; hold time is tracked for the exclusive (writer) side only —
+   readers overlap, so a per-reader hold would need per-fiber state the
+   model doesn't keep, and a reader's release carries [held = 0]. *)
 
 type t = {
   line : Engine.Line.t;
@@ -62,18 +63,10 @@ let make ?(bravo = true) ?id ?name () =
 
 let set_name t name = t.name <- Some name
 
-let profile t =
-  Mm_obs.Contention.get ~id:t.id ~kind:Mm_obs.Event.Rw_write ~name:(fun () ->
-      match t.name with
-      | Some n -> n
-      | None -> Printf.sprintf "rwlock#%d" t.id)
-
 let note_acquired t ~kind ~wait =
-  if Mm_obs.Bus.on () then begin
-    Mm_obs.Contention.acquired (profile t) ~wait;
-    Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.wait_cycles") wait;
-    Engine.obs (Mm_obs.Event.Lock_acquire { lock = t.id; kind; wait })
-  end
+  if Mm_obs.Bus.on () then
+    Engine.obs
+      (Mm_obs.Event.Lock_acquire { lock = t.id; kind; wait; name = t.name })
 
 let note_contend t ~kind =
   if Mm_obs.Bus.on () then
@@ -125,7 +118,7 @@ let read_unlock t =
   if Mm_obs.Bus.on () then
     Engine.obs
       (Mm_obs.Event.Lock_release
-         { lock = t.id; kind = Mm_obs.Event.Rw_read; held = 0 });
+         { lock = t.id; kind = Mm_obs.Event.Rw_read; held = 0; name = t.name });
   if t.readers = 0 && not t.writer then wake_next_writer t
 
 let write_lock t =
@@ -167,14 +160,11 @@ let wake_reader_phase t =
   Queue.clear t.rwait
 
 let note_writer_release t =
-  if Mm_obs.Bus.on () then begin
-    let held = Engine.now () - t.writer_since in
-    Mm_obs.Contention.released (profile t) ~held;
-    Mm_obs.Metrics.observe (Mm_obs.Metrics.histogram "lock.hold_cycles") held;
+  if Mm_obs.Bus.on () then
     Engine.obs
       (Mm_obs.Event.Lock_release
-         { lock = t.id; kind = Mm_obs.Event.Rw_write; held })
-  end
+         { lock = t.id; kind = Mm_obs.Event.Rw_write; name = t.name;
+           held = Engine.now () - t.writer_since })
 
 let write_unlock t =
   Engine.serialize ();

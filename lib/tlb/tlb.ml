@@ -197,18 +197,16 @@ let flush_batch t =
       else
         List.fold_left (fun a r -> max a r.be_enqueued) 0 records
     in
+    let stall r = max 0 (now - r.be_enqueued) in
     List.iter
       (fun r ->
-        let stall = max 0 (now - r.be_enqueued) in
-        if stall > t.counters.worst_stall then t.counters.worst_stall <- stall;
-        if Mm_obs.Bus.on () then
-          Mm_obs.Metrics.observe
-            (Mm_obs.Metrics.histogram "tlb.batch_stall_cycles")
-            stall;
+        if stall r > t.counters.worst_stall then
+          t.counters.worst_stall <- stall r;
         match r.be_on_flush with Some f -> f () | None -> ())
       records;
     if Mm_obs.Bus.on () then
-      Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "tlb.batch_flushes")
+      Mm_sim.Engine.obs
+        (Mm_obs.Event.Tlb_batch_flush { stalls = List.map stall records })
   end
 
 (* Invalidate [vpns] on every CPU whose bit is set in [targets]; the
@@ -257,10 +255,6 @@ let shootdown ?on_flush t ~targets ~vpns =
       | (Sync | Early_ack) when nremote > 0 && not deferred -> nremote
       | _ -> 0
     in
-    Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "tlb.shootdowns");
-    Mm_obs.Metrics.observe
-      (Mm_obs.Metrics.histogram "tlb.shootdown_fanout")
-      nremote;
     Mm_sim.Engine.obs
       (Mm_obs.Event.Tlb_shootdown
          { vpns = List.length vpns; targets = nremote; ipis })
@@ -289,10 +283,6 @@ let shootdown_full t ~targets =
   end;
   if Mm_obs.Bus.on () then begin
     let nremote = List.length remote in
-    Mm_obs.Metrics.inc (Mm_obs.Metrics.counter "tlb.shootdowns");
-    Mm_obs.Metrics.observe
-      (Mm_obs.Metrics.histogram "tlb.shootdown_fanout")
-      nremote;
     (* vpns = 0 encodes a full flush. *)
     Mm_sim.Engine.obs
       (Mm_obs.Event.Tlb_shootdown { vpns = 0; targets = nremote; ipis = nremote })
@@ -307,10 +297,8 @@ let timer_tick t ~cpu =
     Queue.iter (fun vpn -> Hashtbl.remove t.entries.(cpu) vpn) q;
     Queue.clear q;
     t.counters.latr_drained <- t.counters.latr_drained + n;
-    if Mm_obs.Bus.on () then begin
-      Mm_obs.Metrics.add (Mm_obs.Metrics.counter "tlb.latr_drained") n;
+    if Mm_obs.Bus.on () then
       Mm_sim.Engine.obs (Mm_obs.Event.Tlb_latr_drain { entries = n })
-    end
   end;
   match t.policy with
   | Batched { window; max_batch = _ }

@@ -209,7 +209,7 @@ let observe t (ev : Mm_obs.Event.t) =
     if not (Hashtbl.mem t.pending_frames pfn) then
       violate t "frame %#x: flush-freed but never deferred" pfn
     else Hashtbl.remove t.pending_frames pfn
-  | Frame_allocated { pfn; pages } ->
+  | Frame_allocated { pfn; pages; _ } ->
     Hashtbl.iter
       (fun p0 n0 ->
         if pfn < p0 + n0 && p0 < pfn + pages then
@@ -315,9 +315,9 @@ let observe t (ev : Mm_obs.Event.t) =
          precede the drop)"
         file page
   | Lock_contend _ | Rcu_gp _ | Tlb_shootdown _ | Tlb_latr_drain _
-  | Pt_split _ | Pt_free _ | Stale_retry | Page_fault _ | Reclaim_waken _
-  | Span_begin _ | Span_end _ | Counter _ ->
-    () (* informational: no invariant rides on these *)
+  | Tlb_batch_flush _ | Pt_split _ | Pt_free _ | Stale_retry | Page_fault _
+  | Frame_returned _ | Reclaim_waken _ | Reclaim_pass _ | Span_begin _
+  | Span_end _ | Counter _ -> () (* informational: no invariant rides here *)
 
 let violations t = List.rev t.violations
 let ok t = t.violations = []

@@ -80,21 +80,18 @@ let result ~ops ~cycles =
    too, so outputs stay byte-identical across job counts.
 
    The one deliberate exception: while a tracing session is active
-   ([Mm_obs.Trace.on ()]), the metrics/contention registries are left
-   alone — [--trace]/[--report] force [-j 1] precisely so one session
-   can accumulate across the whole run, and the session owns those
-   registries (it reset them at [Trace.start]). Bus subscribers are left
-   alone too: whoever subscribed owns the subscription. *)
+   ([Mm_obs.Trace.on ()]), the contention table and its lock ids are
+   left alone — [--trace]/[--report] force [-j 1] precisely so one
+   session can accumulate across the whole run, and the session owns
+   both registries (only its subscribers write them). Bus subscribers
+   are left alone too: whoever subscribed owns the subscription. *)
 let reset_world_state () =
   Mm_sim.Rcu_s.reset_ids ();
   Mm_sim.Mutant.arm None;
   Cortenmm.File.reset_ids ();
   Cortenmm.Blockdev.reset_ids ();
   Cortenmm.Vm_object.reset_ids ();
-  if not (Mm_obs.Trace.on ()) then begin
-    Mm_obs.Metrics.reset ();
-    Mm_obs.Contention.reset ()
-  end;
+  if not (Mm_obs.Trace.on ()) then Mm_obs.Contention.reset ();
   collector () := None;
   set_label "?"
 

@@ -143,15 +143,37 @@ let test_json_rejects_garbage () =
 
 (* -- Metrics -- *)
 
+(* The registry is written only by [Metrics.record], from events. *)
 let test_metrics () =
   Metrics.reset ();
-  let c = Metrics.counter "test.count" in
-  Metrics.inc c;
-  Metrics.add c 4;
-  check Alcotest.int "counter" 5 (Metrics.count c);
-  check Alcotest.bool "find-or-create" true (c == Metrics.counter "test.count");
-  let h = Metrics.histogram "test.hist" in
-  List.iter (Metrics.observe h) [ 1; 2; 4; 8 ];
+  List.iter
+    (fun payload ->
+      Metrics.record { Event.seq = 0; time = 0; cpu = 0; payload })
+    [
+      Event.Tlb_latr_drain { entries = 1 };
+      Tlb_latr_drain { entries = 4 };
+      Tlb_batch_flush { stalls = [ 1; 2; 4; 8 ] };
+      (* No split: no [buddy.splits]; a pass moving nothing still
+         registers [swapd.*]; a reader's release holds nothing. *)
+      Frame_allocated { pfn = 0; pages = 4; splits = 0 };
+      Reclaim_pass { scanned = 0; second_chances = 0; swapped = 0 };
+      Lock_release { lock = 0; kind = Rw_read; held = 0; name = None };
+    ];
+  check
+    Alcotest.(list (pair string int))
+    "counters"
+    [ ("phys.frame_allocs", 1); ("swapd.scanned", 0);
+      ("swapd.second_chances", 0); ("swapd.swapped", 0);
+      ("tlb.batch_flushes", 1); ("tlb.latr_drained", 5) ]
+    (Metrics.counters ());
+  check
+    Alcotest.(list string)
+    "histograms"
+    [ "phys.alloc_order"; "tlb.batch_stall_cycles" ]
+    (List.map fst (Metrics.histograms ()));
+  check Alcotest.int "alloc order" 2
+    (Metrics.max_value (List.assoc "phys.alloc_order" (Metrics.histograms ())));
+  let h = List.assoc "tlb.batch_stall_cycles" (Metrics.histograms ()) in
   check Alcotest.int "samples" 4 (Metrics.samples h);
   check Alcotest.int "total" 15 (Metrics.total h);
   check Alcotest.int "max" 8 (Metrics.max_value h);
@@ -159,11 +181,11 @@ let test_metrics () =
   check Alcotest.bool "median bucket" true (Metrics.quantile h 0.5 <= 4);
   let dump = Metrics.dump () in
   check Alcotest.bool "dump lists counter" true
-    (contains ~needle:"test.count" dump);
+    (contains ~needle:"tlb.latr_drained" dump);
   check Alcotest.bool "dump lists histogram" true
-    (contains ~needle:"test.hist" dump);
+    (contains ~needle:"tlb.batch_stall_cycles" dump);
   Metrics.reset ();
-  check Alcotest.int "reset" 0 (Metrics.count (Metrics.counter "test.count"))
+  check Alcotest.int "reset" 0 (List.length (Metrics.counters ()))
 
 (* -- Contention profile -- *)
 

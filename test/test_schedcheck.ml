@@ -20,10 +20,12 @@ let int = Alcotest.int
 let ev ?(cpu = -1) payload = { Event.seq = 0; time = 0; cpu; payload }
 
 let mutex_acquire ~cpu lock =
-  ev ~cpu (Event.Lock_acquire { lock; kind = Event.Mutex; wait = 0 })
+  ev ~cpu
+    (Event.Lock_acquire { lock; kind = Event.Mutex; wait = 0; name = None })
 
 let mutex_release ~cpu lock =
-  ev ~cpu (Event.Lock_release { lock; kind = Event.Mutex; held = 0 })
+  ev ~cpu
+    (Event.Lock_release { lock; kind = Event.Mutex; held = 0; name = None })
 
 let txn_lock ~cpu asp ~lo ~hi =
   ev ~cpu (Event.Cursor_lock { asp; lo; hi; locked = 0; span = 0 })
@@ -126,7 +128,7 @@ let test_live_frame_reuse () =
     feed
       [
         ev (Event.Frame_deferred { pfn = 100; pages = 2 });
-        ev (Event.Frame_allocated { pfn = 101; pages = 1 });
+        ev (Event.Frame_allocated { pfn = 101; pages = 1; splits = 0 });
       ]
   in
   check bool "reuse before flush is a violation" false (Live.ok bad);
@@ -135,7 +137,7 @@ let test_live_frame_reuse () =
       [
         ev (Event.Frame_deferred { pfn = 100; pages = 2 });
         ev (Event.Frame_freed { pfn = 100; pages = 2 });
-        ev (Event.Frame_allocated { pfn = 100; pages = 2 });
+        ev (Event.Frame_allocated { pfn = 100; pages = 2; splits = 0 });
       ]
   in
   Live.check_quiescent good;
@@ -144,7 +146,7 @@ let test_live_frame_reuse () =
     feed
       [
         ev (Event.Frame_deferred { pfn = 100; pages = 2 });
-        ev (Event.Frame_allocated { pfn = 102; pages = 4 });
+        ev (Event.Frame_allocated { pfn = 102; pages = 4; splits = 0 });
       ]
   in
   check bool "disjoint allocation is fine" true (Live.ok unrelated)

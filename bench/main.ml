@@ -260,50 +260,6 @@ let write_results_json ~path results =
                 results) );
        ])
 
-(* Optional open-loop serving run (`--serve N`), appended after the
-   regular experiments. Kept behind a flag — not a registry entry — so
-   the default run-all output and `--list` stay byte-identical. Mix and
-   policy names resolve fail-fast through the typed registry lookups. *)
-let serve_path = "BENCH_serve.json"
-
-let run_serve args ~jobs sessions =
-  let die msg =
-    Printf.eprintf "bench: %s\n" msg;
-    exit 1
-  in
-  let mix =
-    match Mm_serve.Mix.find
-            (Option.value (flag_value args "--serve-mix") ~default:"mixed")
-    with
-    | Ok m -> m
-    | Error msg -> die msg
-  in
-  let policies =
-    let names =
-      match flag_value args "--serve-policy" with
-      | None -> Mm_serve.Serve.policy_names
-      | Some s -> String.split_on_char ',' s
-    in
-    List.map
-      (fun name ->
-        match Mm_serve.Serve.find_policy name with
-        | Ok p -> (name, p)
-        | Error msg -> die msg)
-      names
-  in
-  let ncpus = 8 and seed = 42 in
-  Printf.printf
-    "=== serve: open-loop session fleet (%d sessions, %d cpus, mix %s) ===\n\n%!"
-    sessions ncpus mix.Mm_serve.Mix.name;
-  let reports =
-    Mm_serve.Serve.run_matrix ~jobs ~systems:Mm_workloads.System.Registry.all
-      ~mix ~policies ~ncpus ~sessions ~seed ()
-  in
-  print_string (Mm_serve.Serve.table reports);
-  Mm_serve.Serve.write_json ~path:serve_path ~mix ~ncpus ~sessions ~seed
-    reports;
-  Printf.printf "\nwrote serve report to %s\n\n%!" serve_path
-
 let () =
   (* The simulator's state is mostly medium-lived (one world per
      experiment config), which the default GC pacing promotes and then
@@ -397,9 +353,6 @@ let () =
       write_results_json ~path
         (List.concat_map (fun t -> t.Driver.t_results) results);
       Printf.printf "wrote results to %s\n%!" path
-    | None -> ());
-    (match flag_value args "--serve" with
-    | Some n -> run_serve args ~jobs (int_of_string n)
     | None -> ());
     if List.mem "--wallclock" args then begin
       (* Honest seq-vs-par numbers: at [-j 1] one pass is both; at

@@ -541,8 +541,9 @@ let unmap_file_page asp ~vaddr =
    not be faulted in (frame exhaustion while populating). *)
 let mlock_r asp ~addr ~len =
   let ps = Addr_space.page_size asp in
-  if len <= 0 || addr < 0 || addr mod ps <> 0 then Error Errno.EINVAL
-  else begin
+  match Errno.check_range ~page_size:ps ~addr ~len with
+  | Error _ as e -> e
+  | Ok () ->
     charge Mm_sim.Cost.syscall;
     let len = Mm_util.Align.up len ps in
     let npages = len / ps in
@@ -579,12 +580,12 @@ let mlock_r asp ~addr ~len =
             done);
         Ok ()
     end
-  end
 
 let munlock_r asp ~addr ~len =
   let ps = Addr_space.page_size asp in
-  if len <= 0 || addr < 0 || addr mod ps <> 0 then Error Errno.EINVAL
-  else begin
+  match Errno.check_range ~page_size:ps ~addr ~len with
+  | Error _ as e -> e
+  | Ok () ->
     charge Mm_sim.Cost.syscall;
     let len = Mm_util.Align.up len ps in
     let npages = len / ps in
@@ -605,7 +606,6 @@ let munlock_r asp ~addr ~len =
           | _ -> ()
         done);
     Ok ()
-  end
 
 (* -- pkey_mprotect: tag a range with an MPK protection key (x86-64) -- *)
 
@@ -684,22 +684,20 @@ let read_value asp ~vaddr =
    cycles the exception-style entry point does. *)
 
 let mmap_r asp ?addr ?backing ?policy ~len ~perm () =
-  let ps = Addr_space.page_size asp in
-  let bad_addr =
-    match addr with Some a -> a < 0 || a mod ps <> 0 | None -> false
-  in
-  if len <= 0 || bad_addr then Error Errno.EINVAL
-  else
+  let page_size = Addr_space.page_size asp in
+  match Errno.check_mmap ~page_size ?addr ~len () with
+  | Error _ as e -> e
+  | Ok () -> (
     try Ok (mmap asp ?addr ?backing ?policy ~len ~perm ())
     with Mm_phys.Buddy.Out_of_memory | Va_alloc.Va_exhausted ->
-      Error Errno.ENOMEM
+      Error Errno.ENOMEM)
 
 let munmap_r asp ~addr ~len =
-  let ps = Addr_space.page_size asp in
-  if len <= 0 || addr < 0 || addr mod ps <> 0 then Error Errno.EINVAL
-  else Ok (munmap asp ~addr ~len)
+  match Errno.check_range ~page_size:(Addr_space.page_size asp) ~addr ~len with
+  | Error _ as e -> e
+  | Ok () -> Ok (munmap asp ~addr ~len)
 
 let mprotect_r asp ~addr ~len ~perm =
-  let ps = Addr_space.page_size asp in
-  if len <= 0 || addr < 0 || addr mod ps <> 0 then Error Errno.EINVAL
-  else Ok (mprotect asp ~addr ~len ~perm)
+  match Errno.check_range ~page_size:(Addr_space.page_size asp) ~addr ~len with
+  | Error _ as e -> e
+  | Ok () -> Ok (mprotect asp ~addr ~len ~perm)

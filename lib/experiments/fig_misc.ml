@@ -49,8 +49,7 @@ let tab2_plan () =
 (* -- Fig 20: LMbench process benchmarks (one world per (bench, kind),
       returning cycles per iteration) -- *)
 
-let fig20_kinds =
-  [ ("linux", `Linux); ("cortenmm-adv", `Corten Cortenmm.Config.adv) ]
+let fig20_kinds = [ ("linux", System.Linux); ("cortenmm-adv", corten_adv) ]
 
 let fig20_benches = [ Lmbench.Fork; Lmbench.Fork_exec; Lmbench.Shell ]
 

@@ -16,6 +16,15 @@ exception Error of t
 
 let ok_exn = function Ok v -> v | Error e -> raise (Error e)
 
+(* The EINVAL rule for every backend: an empty range, or a negative or
+   unaligned address. Host-side only: no simulated cycles are charged. *)
+let check_range ~page_size ~addr ~len : (unit, t) result =
+  if len <= 0 || addr < 0 || addr mod page_size <> 0 then Error EINVAL
+  else Ok ()
+
+let check_mmap ~page_size ?(addr = 0) ~len () =
+  check_range ~page_size ~addr ~len
+
 let to_string = function
   | EINVAL -> "EINVAL"
   | ENOMEM -> "ENOMEM"

@@ -4,7 +4,7 @@
     deterministically. *)
 
 type t =
-  | EINVAL  (** malformed request: empty range, unaligned address *)
+  | EINVAL  (** malformed request (the rule is {!check_range}) *)
   | ENOMEM  (** out of physical frames or virtual address space *)
   | EACCES  (** permission denied at syscall level *)
   | ENOSYS  (** the backend does not implement this operation *)
@@ -17,6 +17,14 @@ exception Error of t
 
 val ok_exn : ('a, t) result -> 'a
 (** The [Ok] value; raises {!Error} on [Error]. *)
+
+val check_range : page_size:int -> addr:int -> len:int -> (unit, t) result
+(** [Error EINVAL] when [len <= 0], [addr < 0] or [addr] is not a
+    multiple of [page_size] — the one statement of the rule. *)
+
+val check_mmap :
+  page_size:int -> ?addr:int -> len:int -> unit -> (unit, t) result
+(** {!check_range} for an mmap; without a hint only [len] is checked. *)
 
 val to_string : t -> string
 

@@ -447,14 +447,15 @@ let destroy t =
   free_empty_pt_pages t ~lo ~hi;
   Mm_sim.Rwlock_s.read_unlock t.mmap_lock
 
-(* Simulated data access, mirroring Cortenmm.Mm for the semantics tests. *)
+(* Simulated data access, mirroring Cortenmm.Mm for the semantics tests. A
+   page gone after the touch (a stale TLB hit racing a munmap) faults. *)
 let with_pfn t ~vaddr f =
   let node = Pt.walk_opt t.pt ~to_level:1 vaddr in
-  if node.Pt.level <> 1 then failwith "with_pfn: page not mapped"
+  if node.Pt.level <> 1 then raise (Fault vaddr)
   else
     match Pt.get t.pt node (Pt.index t.pt ~level:1 ~vaddr) with
     | Pte.Leaf { pfn; _ } -> f (Mm_phys.Phys.frame t.phys pfn)
-    | Pte.Absent | Pte.Table _ -> failwith "with_pfn: page not mapped"
+    | Pte.Absent | Pte.Table _ -> raise (Fault vaddr)
 
 let write_value t ~vaddr ~value =
   touch t ~vaddr ~write:true;

@@ -324,22 +324,27 @@ let destroy t =
         rep.applied <- rep.applied + 1
       done;
       teardown_pt t rep.pt;
+      rep.applied <- 0;
       Mm_sim.Mutex_s.unlock rep.rep_lock)
     t.replicas;
   t.log_len <- 0
 
 (* Simulated data access for the COW-fork oracle: touch resolves the
    mapping (raising {!Fault} when absent), then the local replica names
-   the frame whose contents token we read or write. *)
+   the frame whose contents token we read or write. A page gone from the
+   replica (a stale TLB hit racing a munmap) faults once it is unlocked. *)
 let with_pfn t ~vaddr f =
   let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
-  with_replica t ~cpu (fun rep ->
-      let node = Pt.walk_opt rep.pt ~to_level:1 vaddr in
-      if node.Pt.level <> 1 then raise (Fault vaddr)
-      else
-        match Pt.get_uncharged rep.pt node (Pt.index rep.pt ~level:1 ~vaddr) with
-        | Pte.Leaf { pfn; _ } -> f (Mm_phys.Phys.frame t.phys pfn)
-        | Pte.Absent | Pte.Table _ -> raise (Fault vaddr))
+  let v =
+    with_replica t ~cpu (fun rep ->
+        let node = Pt.walk_opt rep.pt ~to_level:1 vaddr in
+        if node.Pt.level <> 1 then None
+        else
+          match Pt.get_uncharged rep.pt node (Pt.index rep.pt ~level:1 ~vaddr) with
+          | Pte.Leaf { pfn; _ } -> Some (f (Mm_phys.Phys.frame t.phys pfn))
+          | Pte.Absent | Pte.Table _ -> None)
+  in
+  match v with Some v -> v | None -> raise (Fault vaddr)
 
 let write_value t ~vaddr ~value =
   touch t ~vaddr ~write:true;

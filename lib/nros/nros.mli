@@ -38,7 +38,8 @@ val fork : t -> t
 
 val destroy : t -> unit
 (** Catch every replica up with the log, then free the mapped frames and
-    all replica page tables (process exit). *)
+    all replica page tables (process exit). The instance is left empty,
+    with an empty log, and may be repopulated. *)
 
 val write_value : t -> vaddr:int -> value:int -> unit
 (** Touch for write, then store a data token in the page's frame. Raises

@@ -91,8 +91,8 @@ module type S = sig
       identical for private memory, which is what the oracle diffs. *)
 
   val destroy : t -> unit
-  (** Tear the instance's address space down (process exit). The
-      instance must not be used afterwards. *)
+  (** Tear the instance's address space down (process exit): it is left
+      empty and may be repopulated, as exec does. *)
 
   val write_value : t -> vaddr:int -> value:int -> (unit, Errno.t) result
   (** A user store of a data token: touches for write, then records
@@ -130,18 +130,3 @@ module type S = sig
 end
 
 type b = (module S)
-
-(* Uniform request validation shared by the adapters, so every backend
-   classifies malformed requests identically (host-side checks: no
-   simulated cycles are charged). *)
-
-let check_mmap ~page_size ?addr ~len () =
-  if len <= 0 then Error Errno.EINVAL
-  else
-    match addr with
-    | Some a when a < 0 || a mod page_size <> 0 -> Error Errno.EINVAL
-    | _ -> Ok ()
-
-let check_range ~page_size ~addr ~len =
-  if len <= 0 || addr < 0 || addr mod page_size <> 0 then Error Errno.EINVAL
-  else Ok ()

@@ -19,10 +19,6 @@ let bench_name = function
   | Fork_exec -> "fork+exec"
   | Shell -> "shell"
 
-type proc =
-  | P_corten of Cortenmm.Kernel.t * Cortenmm.Addr_space.t
-  | P_linux of Mm_linux.Linux_mm.t
-
 (* A typical dynamically-linked process image: text, data, heap, stack and
    a set of shared-library mappings, with the hot pages touched. *)
 let image_mappings =
@@ -35,43 +31,22 @@ let image_mappings =
 let exec_mappings =
   [ (mib 2, 384); (mib 1, 192); (kib 256, 64); (kib 128, 16) ]
 
-
-let populate proc mappings =
+let populate sys mappings =
   List.iter
     (fun (len, touched) ->
-      match proc with
-      | P_corten (_, asp) ->
-        let addr =
-          Errno.ok_exn (Cortenmm.Mm.mmap_r asp ~len ~perm:Perm.rw ())
-        in
-        Cortenmm.Mm.touch_range asp ~addr ~len:(touched * 4096) ~write:true
-      | P_linux t ->
-        let addr = Mm_linux.Linux_mm.mmap t ~len ~perm:Perm.rw () in
-        Mm_linux.Linux_mm.touch_range t ~addr ~len:(touched * 4096)
-          ~write:true)
+      let addr = Errno.ok_exn (System.mmap sys ~len ~perm:Perm.rw ()) in
+      Errno.ok_exn
+        (System.touch_range sys ~addr ~len:(touched * 4096) ~write:true))
     mappings
 
-let fork_proc = function
-  | P_corten (k, asp) -> P_corten (k, Cortenmm.Mm.fork asp)
-  | P_linux t -> P_linux (Mm_linux.Linux_mm.fork t)
-
-let destroy_proc = function
-  | P_corten (_, asp) -> Cortenmm.Mm.destroy asp
-  | P_linux t -> Mm_linux.Linux_mm.destroy t
+let fork sys = Errno.ok_exn (System.fork sys)
 
 (* exec: tear the image down and build the (small) new one, faulting its
    pages in. *)
-let exec_proc proc =
-  destroy_proc proc;
-  populate proc exec_mappings;
+let exec sys =
+  System.destroy sys;
+  populate sys exec_mappings;
   Engine.tick 120_000 (* ELF loading, relocation *)
-
-let make_proc ~kind ~ncpus =
-  match kind with
-  | `Corten cfg ->
-    let kernel = Cortenmm.Kernel.create ~ncpus () in
-    P_corten (kernel, Cortenmm.Addr_space.create kernel cfg)
-  | `Linux -> P_linux (Mm_linux.Linux_mm.create ~ncpus ())
 
 (* Run one benchmark; returns average cycles per iteration (lower is
    better, as in Fig 20). *)
@@ -79,33 +54,33 @@ let run ~kind ~bench ?(iters = 8) () =
   let measured = ref 0 in
   let w = Engine.create ~ncpus:1 in
   Engine.spawn w ~cpu:0 (fun () ->
-      let parent = make_proc ~kind ~ncpus:1 in
+      let parent = System.make kind ~ncpus:1 in
       populate parent image_mappings;
       let start = Engine.now () in
       (for _ = 1 to iters do
           match bench with
           | Fork ->
-            let child = fork_proc parent in
+            let child = fork parent in
             Engine.tick 50_000 (* scheduler + task_struct work *);
-            destroy_proc child
+            System.destroy child
           | Fork_exec ->
-            let child = fork_proc parent in
+            let child = fork parent in
             Engine.tick 50_000;
-            exec_proc child;
+            exec child;
             Engine.tick 80_000 (* the dummy program runs *);
-            destroy_proc child
+            System.destroy child
           | Shell ->
             (* execlp "sh -c echo": fork + exec sh, sh forks + execs echo. *)
-            let sh = fork_proc parent in
+            let sh = fork parent in
             Engine.tick 50_000;
-            exec_proc sh;
+            exec sh;
             Engine.tick 200_000 (* shell startup, parsing *);
-            let echo = fork_proc sh in
+            let echo = fork sh in
             Engine.tick 50_000;
-            exec_proc echo;
+            exec echo;
             Engine.tick 40_000;
-            destroy_proc echo;
-            destroy_proc sh
+            System.destroy echo;
+            System.destroy sh
        done);
       measured := Engine.now () - start);
   Engine.run w;

@@ -7,7 +7,7 @@ type bench = Fork | Fork_exec | Shell
 val bench_name : bench -> string
 
 val run :
-  kind:[ `Corten of Cortenmm.Config.t | `Linux ] ->
+  kind:System.kind ->
   bench:bench ->
   ?iters:int ->
   unit ->

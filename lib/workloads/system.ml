@@ -41,9 +41,9 @@ type backend = Backend.b
 
 let backend_of_kind : kind -> backend = function
   | Corten cfg -> Backend_corten.make cfg
-  | Linux -> Backend_linux.backend
-  | Radixvm -> Backend_radixvm.backend
-  | Nros -> Backend_nros.backend
+  | Linux -> Backend_baseline.linux
+  | Radixvm -> Backend_baseline.radixvm
+  | Nros -> Backend_baseline.nros
 
 (* The named-backend registry: the one list the drivers (bench --list,
    mmrepro sweep/trace/oracle, the differential oracle's default set)

@@ -110,8 +110,8 @@ val fork : t -> (t, Mm_hal.Errno.t) result
     module (and simulated machine) with the parent. *)
 
 val destroy : t -> unit
-(** Tear the instance's address space down (process exit). The instance
-    must not be used afterwards. *)
+(** Tear the instance's address space down (process exit): it is left
+    empty and may be repopulated, as exec does. *)
 
 val write_value : t -> vaddr:int -> value:int -> (unit, Mm_hal.Errno.t) result
 (** A user store of a data token: touches for write, then records

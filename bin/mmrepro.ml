@@ -433,8 +433,22 @@ let oracle_cmd =
   let ops = Arg.(value & opt int 200 & info [ "ops" ] ~doc:"Ops per CPU.") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
   let every =
+    (* Diff.run rejects a cadence below 1: fail here, with a usage
+       message, rather than with its Invalid_argument. *)
+    let positive =
+      Arg.conv
+        ( (fun s ->
+            match int_of_string_opt (String.trim s) with
+            | Some n when n > 0 -> Ok n
+            | Some _ | None ->
+              Error
+                (`Msg
+                   (Printf.sprintf
+                      "invalid cadence %S (expected a positive integer)" s))),
+          Format.pp_print_int )
+    in
     Arg.(
-      value & opt int 16
+      value & opt positive 16
       & info [ "every" ] ~doc:"Snapshot-compare cadence in operations.")
   in
   let run path profile ncpus ops seed every mutant jobs systems =

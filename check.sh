@@ -93,6 +93,27 @@ dune exec bin/mmrepro.exe -- oracle --profile mixed --cpus 4 --ops 120 \
 cmp /tmp/oracle_j1.out /tmp/oracle_j2.out \
   || { echo "oracle: -j 2 verdict differs from -j 1"; exit 1; }
 
+echo "== oracle: the benchmark's 8000-op mixed trace is clean, -j 2 identical =="
+# The oracle-replay workload's trace at the default snapshot cadence:
+# one probe per process per snapshot keeps it at about a second.
+dune exec bin/mmrepro.exe -- oracle --profile mixed --cpus 4 --ops 2000 \
+  --seed 42 > /tmp/oracle8k_j1.out
+cat /tmp/oracle8k_j1.out
+dune exec bin/mmrepro.exe -- oracle --profile mixed --cpus 4 --ops 2000 \
+  --seed 42 -j 2 > /tmp/oracle8k_j2.out
+cmp /tmp/oracle8k_j1.out /tmp/oracle8k_j2.out \
+  || { echo "oracle: 8000-op -j 2 verdict differs from -j 1"; exit 1; }
+
+echo "== oracle: bad --every values fail fast with a usage error =="
+for bad in 0 -3 x; do
+  rc=0
+  ./_build/default/bin/mmrepro.exe oracle --ops 10 --every="$bad" \
+    > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -eq 0 ] || [ "$rc" -eq 125 ]; then
+    echo "oracle: --every $bad exited $rc, not a usage error"; exit 1
+  fi
+done
+
 echo "== trace: saved 2-CPU forks trace replays on two systems, same counts =="
 # Two CPU fibers share one process and region table; the per-op counts
 # (mmaps, munmaps, touches, forks, denied) must not depend on the system.

@@ -465,26 +465,38 @@ let read_value t ~vaddr =
   touch t ~vaddr ~write:false;
   with_pfn t ~vaddr (fun f -> f.Mm_phys.Frame.contents)
 
-(* Normalized observation of one page for the differential oracle: VMA
-   lookup for mapped-ness and the would-be protection, raw (uncharged)
-   PT descent for residency. COW counts as writable — the store succeeds
-   after the break. *)
-let page_state t ~vaddr =
-  match Vma.find t.vmas vaddr with
-  | None -> `Unmapped
-  | Some vma ->
-    let rec down (node : unit Pt.node) =
-      let idx = Pt.index t.pt ~level:node.Pt.level ~vaddr in
-      if node.Pt.level = 1 then
-        match Pt.get_uncharged t.pt node idx with
-        | Pte.Leaf { perm; _ } ->
-          `Resident (perm.Perm.write || perm.Perm.cow)
-        | Pte.Absent | Pte.Table _ -> `Lazy vma.Vma.perm.Perm.write
-      else
-        match Pt.child t.pt node idx with
-        | Some c -> down c
-        | None -> `Lazy vma.Vma.perm.Perm.write
-    in
-    down (Pt.root t.pt)
+(* The differential oracle's observation (see {!Mm_hal.Probe}): the VMA
+   gives mapped-ness and the would-be protection, reused while the pages
+   stay inside it; one uncharged descent per leaf PT page gives
+   residency. COW counts as writable — the store succeeds after the
+   break. *)
+let probe t ranges =
+  let ps = page_size t in
+  Probe.make ~page_size:ps ranges (fun buf ~off ~addr ~pages ->
+      let vma = ref None in
+      Pt.iter_leaf_runs t.pt ~lo:addr ~hi:(addr + (pages * ps))
+        (fun lo hi leaf ->
+          for p = (lo - addr) / ps to ((hi - addr) / ps) - 1 do
+            let vaddr = addr + (p * ps) in
+            (match !vma with
+            | Some v when v.Vma.v_start <= vaddr && vaddr < v.Vma.v_end -> ()
+            | Some _ | None -> vma := Vma.find t.vmas vaddr);
+            match !vma with
+            | None -> ()
+            | Some v ->
+              let pte =
+                match leaf with
+                | Some n ->
+                  Pt.get_uncharged t.pt n (Pt.index t.pt ~level:1 ~vaddr)
+                | None -> Pte.Absent
+              in
+              Bytes.set buf (off + p)
+                (match pte with
+                | Pte.Leaf { perm; _ } ->
+                  Probe.code ~writable:(perm.Perm.write || perm.Perm.cow)
+                    ~resident:true
+                | Pte.Absent | Pte.Table _ ->
+                  Probe.code ~writable:v.Vma.perm.Perm.write ~resident:false)
+          done))
 
 let check_well_formed t = Pt.check_well_formed t.pt

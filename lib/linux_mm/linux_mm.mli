@@ -39,10 +39,11 @@ val fork : t -> t
 
 val destroy : t -> unit
 
-val page_state : t -> vaddr:int -> [ `Unmapped | `Lazy of bool | `Resident of bool ]
-(** Observation of one page for the differential oracle: [`Lazy w] =
-    VMA present but no frame yet, [`Resident w] = frame installed; [w]
-    is the logical writability (COW counts as writable). *)
+val probe : t -> (int * int) list -> string
+(** The differential oracle's observation of the ranges, one
+    {!Mm_hal.Probe} byte per page: the VMA gives mapped-ness and the
+    logical writability of a page with no frame yet (COW counts as
+    writable). Charges only the VMA lookups. *)
 
 val write_value : t -> vaddr:int -> value:int -> unit
 val read_value : t -> vaddr:int -> int

@@ -354,16 +354,28 @@ let read_value t ~vaddr =
   touch t ~vaddr ~write:false;
   with_pfn t ~vaddr (fun f -> f.Mm_phys.Frame.contents)
 
-(* Normalized observation of one page for the differential oracle: catch
-   the observing CPU's replica up with the log (what any real NrOS read
-   must do) and read its page table. NrOS has no demand paging, so a
-   page is either absent or resident. *)
-let page_state t ~vaddr =
+(* The differential oracle's observation (see {!Mm_hal.Probe}): catch
+   the observing CPU's replica up with the log once (what any real NrOS
+   read must do), then read its page table with one uncharged descent
+   per leaf PT page. NrOS has no demand paging, so a page is either
+   absent or resident. *)
+let probe t ranges =
   let cpu = if Mm_sim.Engine.in_fiber () then Mm_sim.Engine.cpu_id () else 0 in
+  let ps = page_size t in
   with_replica t ~cpu (fun rep ->
-      let node = Pt.walk_opt rep.pt ~to_level:1 vaddr in
-      if node.Pt.level <> 1 then `Unmapped
-      else
-        match Pt.get_uncharged rep.pt node (Pt.index rep.pt ~level:1 ~vaddr) with
-        | Pte.Leaf { perm; _ } -> `Resident perm.Perm.write
-        | Pte.Absent | Pte.Table _ -> `Unmapped)
+      Probe.make ~page_size:ps ranges (fun buf ~off ~addr ~pages ->
+          Pt.iter_leaf_runs rep.pt ~lo:addr ~hi:(addr + (pages * ps))
+            (fun lo hi leaf ->
+              match leaf with
+              | None -> ()
+              | Some n ->
+                for p = (lo - addr) / ps to ((hi - addr) / ps) - 1 do
+                  let vaddr = addr + (p * ps) in
+                  match
+                    Pt.get_uncharged rep.pt n (Pt.index rep.pt ~level:1 ~vaddr)
+                  with
+                  | Pte.Leaf { perm; _ } ->
+                    Bytes.set buf (off + p)
+                      (Probe.code ~writable:perm.Perm.write ~resident:true)
+                  | Pte.Absent | Pte.Table _ -> ()
+                done)))

@@ -27,9 +27,11 @@ val touch_range : t -> addr:int -> len:int -> write:bool -> unit
 val replicated_pt_bytes : t -> int
 val log_length : t -> int
 
-val page_state : t -> vaddr:int -> [ `Unmapped | `Lazy of bool | `Resident of bool ]
-(** Observation of one page for the differential oracle. NrOS backs
-    eagerly, so [`Lazy _] never occurs. *)
+val probe : t -> (int * int) list -> string
+(** The differential oracle's observation of the ranges, one
+    {!Mm_hal.Probe} byte per page, from the calling CPU's replica after
+    one catch-up with the log. NrOS backs eagerly, so no mapped page is
+    non-resident. *)
 
 val fork : t -> t
 (** Eager-copy fork (NrOS claims no COW): snapshot the parent's local

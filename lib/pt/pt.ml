@@ -300,6 +300,30 @@ let rec walk_opt t ?(from = t.root) ~to_level vaddr =
     | Some c -> walk_opt t ~from:c ~to_level vaddr
     | None -> from
 
+(* Split [lo, hi) at level-1 page boundaries and call [f run_lo run_hi
+   leaf] per piece, with the level-1 page found by one uncharged descent
+   per piece — the observation path, which must not move simulated time. *)
+let iter_leaf_runs t ~lo ~hi f =
+  let span = Geometry.coverage t.isa.Isa.geo ~level:2 in
+  let rec down node vaddr =
+    if node.level = 1 then Some node
+    else
+      match node.decoded.(index t ~level:node.level ~vaddr) with
+      | Pte.Table { pfn } -> (
+        match node_of_pfn t pfn with
+        | Some c -> down c vaddr
+        | None -> None)
+      | Pte.Absent | Pte.Leaf _ -> None
+  in
+  let rec go v =
+    if v < hi then begin
+      let run_hi = min hi ((v / span + 1) * span) in
+      f v run_hi (down t.root v);
+      go run_hi
+    end
+  in
+  go lo
+
 (* -- Whole-tree traversal (used by fork, verification, accounting) -- *)
 
 let rec iter_subtree t node f =

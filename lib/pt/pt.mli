@@ -94,6 +94,14 @@ val iter_range :
 val walk_create : 'm t -> ?from:'m node -> to_level:int -> int -> 'm node
 val walk_opt : 'm t -> ?from:'m node -> to_level:int -> int -> 'm node
 
+val iter_leaf_runs :
+  'm t -> lo:int -> hi:int -> (int -> int -> 'm node option -> unit) -> unit
+(** [iter_leaf_runs t ~lo ~hi f] splits [lo, hi) at level-1 page
+    boundaries and calls [f run_lo run_hi leaf] for each piece, in
+    address order. [leaf] is the level-1 page covering the piece, found
+    by one uncharged descent; [None] when the walk stops above level 1
+    (an absent entry or a huge leaf). *)
+
 val iter_subtree : 'm t -> 'm node -> ('m node -> unit) -> unit
 val iter_nodes : 'm t -> ('m node -> unit) -> unit
 

@@ -333,26 +333,42 @@ let replicated_pt_bytes t =
 
 let radix_bytes t = t.radix_nodes * radix_node_bytes
 
-(* Normalized observation of one page for the differential oracle: a
-   pure (uncharged, lock-free) descent of the radix tree. The radix
-   entry is the authoritative state — per-core page tables are derived
-   caches of it. *)
-let page_state t ~vaddr =
-  let vpn = vaddr / page_size t in
-  let rec go node =
-    if node.level = 1 then Some node
-    else
-      match node.children.(index ~level:node.level ~vpn) with
-      | Some c -> go c
-      | None -> None
-  in
-  match go t.root with
-  | None -> `Unmapped
-  | Some leaf -> (
-    match leaf.entries.(entry_idx ~vpn) with
-    | R_empty -> `Unmapped
-    | R_reserved perm -> `Lazy perm.Perm.write
-    | R_mapped { perm; _ } -> `Resident perm.Perm.write)
+(* The differential oracle's observation (see {!Mm_hal.Probe}): one
+   pure (uncharged, lock-free) descent of the radix tree per leaf node,
+   whose entries then give every page of the run. The radix entry is the
+   authoritative state — per-core page tables are derived caches of it. *)
+let probe t ranges =
+  let ps = page_size t in
+  Probe.make ~page_size:ps ranges (fun buf ~off ~addr ~pages ->
+      let vpn0 = addr / ps in
+      let rec down node vpn =
+        if node.level = 1 then Some node
+        else
+          match node.children.(index ~level:node.level ~vpn) with
+          | Some c -> down c vpn
+          | None -> None
+      in
+      let rec run p =
+        if p < pages then begin
+          let vpn = vpn0 + p in
+          let run_end = min pages (p + fanout - entry_idx ~vpn) in
+          (match down t.root vpn with
+          | None -> ()
+          | Some leaf ->
+            for q = p to run_end - 1 do
+              match leaf.entries.(entry_idx ~vpn:(vpn0 + q)) with
+              | R_empty -> ()
+              | R_reserved perm ->
+                Bytes.set buf (off + q)
+                  (Probe.code ~writable:perm.Perm.write ~resident:false)
+              | R_mapped { perm; _ } ->
+                Bytes.set buf (off + q)
+                  (Probe.code ~writable:perm.Perm.write ~resident:true)
+            done);
+          run run_end
+        end
+      in
+      run 0)
 
 (* -- fork: eager copy. RadixVM does not claim COW; the child gets its
    own radix tree with fresh frames (contents copied) and empty per-core

@@ -26,9 +26,10 @@ val replicated_pt_bytes : t -> int
 
 val radix_bytes : t -> int
 
-val page_state : t -> vaddr:int -> [ `Unmapped | `Lazy of bool | `Resident of bool ]
-(** Observation of one page for the differential oracle, read from the
-    radix tree (the authoritative state; per-core PTs are caches). *)
+val probe : t -> (int * int) list -> string
+(** The differential oracle's observation of the ranges, one
+    {!Mm_hal.Probe} byte per page, read from the radix tree (the
+    authoritative state; per-core PTs are caches). Charges nothing. *)
 
 val fork : t -> t
 (** Eager-copy fork (RadixVM claims no COW): the child gets its own radix

@@ -11,9 +11,10 @@
    - errors are *values* ([Mm_hal.Errno.t] results), not exceptions, so
      two backends replaying one trace produce comparable outcome
      streams;
-   - [page_state] is a normalized per-page observation (mapped?
-     logically writable? resident?) every backend can answer, which is
-     what the oracle diffs. *)
+   - [probe] is a normalized observation (mapped? logically writable?
+     resident? — one {!Mm_hal.Probe} byte per page) every backend can
+     answer for a whole process in one pass, which is what the oracle
+     diffs. *)
 
 module Errno = Mm_hal.Errno
 
@@ -42,13 +43,24 @@ type mem_stats = {
   peak_resident_bytes : int; (* user data frames, high-water mark *)
 }
 
-(* Normalized observation of one page. [writable] is the *logical*
-   writability the MM would resolve for a store (a COW-protected page
-   counts as writable: the write succeeds after the break). [resident]
-   is whether a physical frame currently backs the page. *)
+(* Normalized observation of one page, decoded from its probe byte for
+   the oracle's messages. [writable] is the *logical* writability the MM
+   would resolve for a store (a COW-protected page counts as writable:
+   the write succeeds after the break). [resident] is whether a physical
+   frame currently backs the page. *)
 type page_state =
   | P_unmapped
   | P_mapped of { writable : bool; resident : bool }
+
+let page_state_of_code c =
+  let c = Char.code c in
+  if c land Mm_hal.Probe.mapped = 0 then P_unmapped
+  else
+    P_mapped
+      {
+        writable = c land Mm_hal.Probe.writable <> 0;
+        resident = c land Mm_hal.Probe.resident <> 0;
+      }
 
 module type S = sig
   type t
@@ -79,10 +91,13 @@ module type S = sig
   val touch_range : t -> addr:int -> len:int -> write:bool -> (unit, Errno.t) result
   (** Touch every page of the range; stops at the first faulting page. *)
 
-  val page_state : t -> vaddr:int -> page_state
-  (** Observation for the oracle; must not disturb the cost model's
-      bookkeeping beyond what an inspection transaction legitimately
-      charges in its own world. *)
+  val probe : t -> (int * int) list -> string
+  (** The oracle's observation: one {!Mm_hal.Probe} byte per page of the
+      [(addr, len)] ranges, laid out in the given order ([len / page
+      size] bytes per range). One call reads the whole list in one pass
+      — on CortenMM one inspection transaction over the ranges' hull. It
+      changes no state the MM's later behaviour depends on; it may
+      charge simulated time in its own world. *)
 
   val fork : t -> (t, Errno.t) result
   (** A child instance duplicating this one's address space (same

@@ -28,8 +28,7 @@ module type MM = sig
   val touch : t -> vaddr:int -> write:bool -> unit
   val touch_range : t -> addr:int -> len:int -> write:bool -> unit
 
-  val page_state :
-    t -> vaddr:int -> [ `Unmapped | `Lazy of bool | `Resident of bool ]
+  val probe : t -> (int * int) list -> string
 
   val fork : t -> t
   val destroy : t -> unit
@@ -78,11 +77,7 @@ module Make (M : MM) : Backend.S = struct
     try Ok (M.touch_range t ~addr ~len ~write)
     with M.Fault v -> Error (Errno.SIGSEGV v)
 
-  let page_state t ~vaddr =
-    match M.page_state t ~vaddr with
-    | `Unmapped -> Backend.P_unmapped
-    | `Lazy w -> Backend.P_mapped { writable = w; resident = false }
-    | `Resident w -> Backend.P_mapped { writable = w; resident = true }
+  let probe = M.probe
 
   let fork t =
     try Ok (M.fork t) with Mm_phys.Buddy.Out_of_memory -> Error Errno.ENOMEM

@@ -14,20 +14,22 @@ type state = {
          applies pressure, so default runs never see it *)
 }
 
-(* The observable state of one page slot. Logical writability: a
+(* The probe byte of one page slot. Logical writability: a
    COW-protected resident page counts as writable (the store succeeds
    after the break); virtually-allocated and swapped pages report their
    stored protection. *)
-let page_state_of_status = function
-  | Cortenmm.Status.Invalid -> Backend.P_unmapped
+let code_of_status = function
+  | Cortenmm.Status.Invalid -> '\000'
   | Cortenmm.Status.Mapped { perm; _ } ->
-    Backend.P_mapped
-      { writable = perm.Perm.write || perm.Perm.cow; resident = true }
+    Mm_hal.Probe.code ~writable:(perm.Perm.write || perm.Perm.cow)
+      ~resident:true
   | Cortenmm.Status.Private_anon perm
   | Cortenmm.Status.Private_file { perm; _ }
   | Cortenmm.Status.Shared_anon { perm; _ }
   | Cortenmm.Status.Swapped { perm; _ } ->
-    Backend.P_mapped { writable = perm.Perm.write; resident = false }
+    Mm_hal.Probe.code ~writable:perm.Perm.write ~resident:false
+
+let page_state_of_status s = Backend.page_state_of_code (code_of_status s)
 
 let make cfg : Backend.b =
   (module struct
@@ -64,12 +66,33 @@ let make cfg : Backend.b =
     let touch_range t ~addr ~len ~write =
       Cortenmm.Mm.touch_range_r t.asp ~addr ~len ~write
 
-    (* One inspection transaction over the page's slot. *)
-    let page_state t ~vaddr =
+    (* One inspection transaction over the ranges' hull; inside it, one
+       page-table enumeration per range (§6.2), which reports a huge
+       leaf or an upper-level mark once for all the pages it covers. *)
+    let probe t ranges =
       let ps = Cortenmm.Addr_space.page_size t.asp in
-      let page = Mm_util.Align.down vaddr ps in
-      Cortenmm.Addr_space.with_lock t.asp ~lo:page ~hi:(page + ps) (fun c ->
-          page_state_of_status (Cortenmm.Addr_space.query c page))
+      let lo, hi =
+        List.fold_left
+          (fun (lo, hi) (addr, len) ->
+            let pages = len / ps in
+            if pages = 0 then (lo, hi)
+            else (min lo addr, max hi (addr + (pages * ps))))
+          (max_int, min_int) ranges
+      in
+      (* No range has a page: the probe is empty. *)
+      if lo >= hi then ""
+      else
+        Cortenmm.Addr_space.with_lock t.asp ~lo ~hi (fun c ->
+            Mm_hal.Probe.make ~page_size:ps ranges
+              (fun buf ~off ~addr ~pages ->
+                let hi = addr + (pages * ps) in
+                Cortenmm.Addr_space.iter_slots c ~lo:addr ~hi
+                  (fun v bytes status ->
+                    let code = code_of_status status in
+                    for p = (max v addr - addr) / ps
+                        to ((min (v + bytes) hi - addr) / ps) - 1 do
+                      Bytes.set buf (off + p) code
+                    done)))
 
     let fork t =
       match Cortenmm.Mm.fork t.asp with

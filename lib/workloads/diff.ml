@@ -7,10 +7,11 @@
    (mmap Ok => every page mapped; munmap Ok => every page unmapped —
    these catch a broken munmap that a later snapshot would miss, since
    an unmapped region leaves the region table). Every [check_every] ops
-   and at the end it snapshots the observable state: per-page
-   {!Backend.page_state} over all live regions, plus {!System.mem_stats}
-   invariants. The logs are then compared pairwise against the first
-   backend; the first difference is reported with its op index.
+   and at the end it snapshots the observable state: one {!System.probe}
+   per live process over all its live regions, kept as one byte per
+   page, plus {!System.mem_stats} invariants. The logs are then compared
+   pairwise against the first backend; the first difference is reported
+   with its op index.
 
    What is compared is masked by capability facts, never by timing:
    - mapped-ness of every page: always;
@@ -20,7 +21,11 @@
      applied every mprotect of the trace — a backend without mprotect
      legitimately keeps the original protection;
    - residency: only between backends with equal [demand_paging] (and
-     mprotect parity, since a denied touch populates nothing). *)
+     mprotect parity, since a denied touch populates nothing).
+   Those rules become one bit mask per backend pair over the probe
+   bytes. Only a region whose masked bytes differ is decoded to
+   {!Backend.page_state}s and described, so the message text is built
+   only on a mismatch. *)
 
 module Errno = Mm_hal.Errno
 
@@ -45,10 +50,17 @@ let describe d =
     Printf.sprintf "op %d: %s vs %s: %s" d.d_op d.d_backend_a d.d_backend_b
       d.d_what
 
-type snapshot = {
-  s_regions : ((int * int) * Backend.page_state array) list;
-      (* keyed (proc, region id), sorted *)
+(* One live process's probe: its regions' ids, sorted, and page counts,
+   and one {!Mm_hal.Probe} byte per page of those regions in that order.
+   A process with no live region has none. *)
+type proc_snapshot = {
+  p_proc : int;
+  p_ids : int array;
+  p_pages : int array;
+  p_states : string;
 }
+
+type snapshot = proc_snapshot list (* sorted by process *)
 
 type run_log = {
   l_name : string;
@@ -100,6 +112,51 @@ let compare_page_states ?(check_writable = true) ?(check_resident = true)
     List.rev !mismatches
   end
 
+(* {!compare_page_states} over two probes of the regions [ids], region
+   by region: [sa] holds [pa.(k)] bytes for region [ids.(k)], in order,
+   and [sb] likewise [pb.(k)]; [label id] names a region. Each mismatch
+   goes to [f], in {!compare_page_states}'s order. Only a region whose
+   bytes differ in a compared bit is decoded and described: an unmapped
+   page's byte is 0, so with the mapped bit always compared, a masked
+   difference is exactly a nonempty {!compare_page_states}. *)
+let compare_probes ~check_writable ~check_resident ~label ids (pa, sa)
+    (pb, sb) f =
+  let mask =
+    Mm_hal.Probe.mapped
+    lor (if check_writable then Mm_hal.Probe.writable else 0)
+    lor if check_resident then Mm_hal.Probe.resident else 0
+  in
+  let differ off_a off_b pages =
+    let rec go p =
+      p < pages
+      && ((Char.code sa.[off_a + p] lxor Char.code sb.[off_b + p]) land mask
+          <> 0
+         || go (p + 1))
+    in
+    go 0
+  in
+  let decode s off pages =
+    Array.init pages (fun p -> Backend.page_state_of_code s.[off + p])
+  in
+  if not (String.equal sa sb && pa = pb) then begin
+    let off_a = ref 0 and off_b = ref 0 in
+    Array.iteri
+      (fun k id ->
+        let na = pa.(k) and nb = pb.(k) in
+        if na <> nb || differ !off_a !off_b na then
+          List.iter f
+            (compare_page_states ~check_writable ~check_resident
+               ~region:(label id) (decode sa !off_a na) (decode sb !off_b nb));
+        off_a := !off_a + na;
+        off_b := !off_b + nb)
+      ids
+  end
+
+(* The ids and page counts of [(id, (addr, len))] regions. *)
+let ids_and_pages ~ps rs =
+  ( Array.of_list (List.map fst rs),
+    Array.of_list (List.map (fun (_, (_, len)) -> len / ps) rs) )
+
 (* Replay the whole trace on one backend, inside a single fiber of a
    private world (sequential global op order: the oracle checks
    functional equivalence, not interleavings). {!Trace.exec} runs each
@@ -124,9 +181,6 @@ let replay_one ?isa ~check_every (b : System.backend) trace =
   let skipped_mprotect = ref false in
   let skipped_reclaim = ref false in
   let violate i what = violations := (i, what) :: !violations in
-  let probe_region sys (addr, len) =
-    Array.init (len / ps) (fun i -> System.page_state sys ~vaddr:(addr + (i * ps)))
-  in
   let check_stats i =
     let m = System.mem_stats root in
     if m.System.resident_bytes < 0 then
@@ -141,42 +195,61 @@ let replay_one ?isa ~check_every (b : System.backend) trace =
       violate i "mem_stats: negative pt/kernel bytes"
   in
   let snapshot i =
-    let s_regions =
+    (* Trace.regions is sorted by (proc, id): group it per process. *)
+    let by_proc =
+      List.fold_right
+        (fun ((proc, id), r) acc ->
+          match acc with
+          | (p, rs) :: rest when p = proc -> (p, (id, r) :: rs) :: rest
+          | _ -> (proc, [ (id, r) ]) :: acc)
+        (Trace.regions tbl) []
+    in
+    let s =
       List.map
-        (fun (((proc, id) as k), r) ->
-          let states = probe_region (Trace.process tbl proc) r in
+        (fun (proc, rs) ->
+          let p_states =
+            System.probe (Trace.process tbl proc) (List.map snd rs)
+          in
+          let p_ids, p_pages = ids_and_pages ~ps rs in
           (* Eager backends have no lazy pages: mapped implies resident. *)
-          if not root.System.caps.System.demand_paging then
+          if not root.System.caps.System.demand_paging then begin
+            let off = ref 0 in
             Array.iteri
-              (fun p st ->
-                match st with
-                | Backend.P_mapped { resident = false; _ } ->
-                  violate i
-                    (Printf.sprintf
-                       "eager backend holds non-resident page %d of proc %d \
-                        region %d"
-                       p proc id)
-                | Backend.P_mapped _ | Backend.P_unmapped -> ())
-              states;
-          (k, states))
-        (Trace.regions tbl)
+              (fun k id ->
+                for p = 0 to p_pages.(k) - 1 do
+                  if
+                    Char.code p_states.[!off + p]
+                    land (Mm_hal.Probe.mapped lor Mm_hal.Probe.resident)
+                    = Mm_hal.Probe.mapped
+                  then
+                    violate i
+                      (Printf.sprintf
+                         "eager backend holds non-resident page %d of proc %d \
+                          region %d"
+                         p proc id)
+                done;
+                off := !off + p_pages.(k))
+              p_ids
+          end;
+          { p_proc = proc; p_ids; p_pages; p_states })
+        by_proc
     in
     check_stats i;
-    snapshots := (i, { s_regions }) :: !snapshots
+    snapshots := (i, s) :: !snapshots
   in
   (* Per-op postcondition: every page of region [id] is [mapped]. *)
   let post i ~mapped ~what id r =
-    Array.iteri
-      (fun p st ->
-        match st with
-        | Backend.P_unmapped when mapped ->
+    let states =
+      System.probe (Trace.process tbl entries.(i).Trace.proc) [ r ]
+    in
+    String.iteri
+      (fun p c ->
+        if (Char.code c land Mm_hal.Probe.mapped <> 0) <> mapped then
           violate i
-            (Printf.sprintf "page %d of region %d unmapped after %s" p id what)
-        | Backend.P_mapped _ when not mapped ->
-          violate i
-            (Printf.sprintf "page %d of region %d mapped after %s" p id what)
-        | Backend.P_mapped _ | Backend.P_unmapped -> ())
-      (probe_region (Trace.process tbl entries.(i).Trace.proc) r)
+            (Printf.sprintf "page %d of region %d %s after %s" p id
+               (if mapped then "unmapped" else "mapped")
+               what))
+      states
   in
   let run_op i =
     let { Trace.proc; op; _ } = entries.(i) in
@@ -210,16 +283,15 @@ let replay_one ?isa ~check_every (b : System.backend) trace =
          page states over every inherited region — this is where a fork
          that breaks the parent's or child's mappings is caught, at the
          fork op itself. *)
-      let sys = Trace.process tbl proc in
-      List.iter
-        (fun (id, r) ->
-          List.iter (violate i)
-            (compare_page_states
-               ~region:
-                 (Printf.sprintf "fork of proc %d (child %d), region %d" proc
-                    child id)
-               (probe_region sys r) (probe_region csys r)))
-        inherited
+      let ranges = List.map snd inherited in
+      let ids, pages = ids_and_pages ~ps inherited in
+      compare_probes ~check_writable:true ~check_resident:true
+        ~label:(fun id ->
+          Printf.sprintf "fork of proc %d (child %d), region %d" proc child id)
+        ids
+        (pages, System.probe (Trace.process tbl proc) ranges)
+        (pages, System.probe csys ranges)
+        (violate i)
     | Trace.T_exit, Trace.Done _ when proc <> 0 ->
       Hashtbl.fold
         (fun (p, id, pg) _ acc -> if p = proc then (p, id, pg) :: acc else acc)
@@ -320,24 +392,34 @@ let compare_snapshots (a : run_log) (b : run_log) =
           }
           :: !divs
       in
-      let ids s = List.map fst s.s_regions in
-      let show ids =
-        String.concat ";"
-          (List.map (fun (p, id) -> Printf.sprintf "%d:%d" p id) ids)
+      let same_keys =
+        List.equal
+          (fun pa pb -> pa.p_proc = pb.p_proc && pa.p_ids = pb.p_ids)
+          sa sb
       in
-      if ids sa <> ids sb then
+      if not same_keys then begin
+        let show s =
+          String.concat ";"
+            (List.concat_map
+               (fun p ->
+                 List.map
+                   (fun id -> Printf.sprintf "%d:%d" p.p_proc id)
+                   (Array.to_list p.p_ids))
+               s)
+        in
         mismatch
           (Printf.sprintf "live (proc, region) ids differ ([%s] vs [%s])"
-             (show (ids sa)) (show (ids sb)))
+             (show sa) (show sb))
+      end
       else
         List.iter2
-          (fun ((proc, id), pa) (_, pb) ->
-            List.iter mismatch
-              (compare_page_states ~check_writable:parity
-                 ~check_resident:(parity && dp_eq && reclaim_eq)
-                 ~region:(Printf.sprintf "proc %d region %d" proc id)
-                 pa pb))
-          sa.s_regions sb.s_regions)
+          (fun pa pb ->
+            compare_probes ~check_writable:parity
+              ~check_resident:(parity && dp_eq && reclaim_eq)
+              ~label:(fun id -> Printf.sprintf "proc %d region %d" pa.p_proc id)
+              pa.p_ids (pa.p_pages, pa.p_states) (pb.p_pages, pb.p_states)
+              mismatch)
+          sa sb)
     a.l_snapshots b.l_snapshots;
   !divs
 

@@ -1,11 +1,19 @@
 (** Differential cross-backend oracle: replay one {!Trace.t} on every
     registered backend in separate simulation worlds, each op through
     {!Trace.exec} (the trace language's one interpreter), and compare the
-    observable state — per-page {!Backend.page_state} over live regions,
-    typed error outcomes, per-op postconditions and {!System.mem_stats}
-    invariants — after every [check_every] ops. Capability differences
-    (no mprotect, eager backing) mask exactly the observations they
-    legitimately change; everything else must agree. *)
+    observable state — typed error outcomes, per-op postconditions,
+    {!System.mem_stats} invariants and, after every [check_every] ops,
+    a snapshot of every live page — across backends. Capability
+    differences (no mprotect, eager backing) mask exactly the
+    observations they legitimately change; everything else must agree.
+
+    A snapshot is one {!System.probe} per live process over all its live
+    regions, kept as that one string of {!Mm_hal.Probe} bytes plus the
+    region ids and page counts. Two backends' snapshots are compared
+    under a bit mask built from the same capability rules; only a region
+    whose masked bytes differ is decoded to {!Backend.page_state}s and
+    described by {!compare_page_states}, so the divergence text is
+    exactly what a page-by-page compare gives. *)
 
 type outcome = O_ok | O_err of Mm_hal.Errno.t | O_skip
 

@@ -132,9 +132,9 @@ let touch_range t ~addr ~len ~write =
   let (Instance ((module B), st)) = t.instance in
   B.touch_range st ~addr ~len ~write
 
-let page_state t ~vaddr =
+let probe t ranges =
   let (Instance ((module B), st)) = t.instance in
-  B.page_state st ~vaddr
+  B.probe st ranges
 
 let fork t =
   let (Instance ((module B), st)) = t.instance in

@@ -101,7 +101,12 @@ val touch : t -> vaddr:int -> write:bool -> (unit, Mm_hal.Errno.t) result
 val touch_range :
   t -> addr:int -> len:int -> write:bool -> (unit, Mm_hal.Errno.t) result
 
-val page_state : t -> vaddr:int -> page_state
+val probe : t -> (int * int) list -> string
+(** The oracle's observation of the [(addr, len)] ranges: one
+    {!Mm_hal.Probe} byte per page ([len / page_size] per range, in the
+    given order), read in one pass — on CortenMM one inspection
+    transaction over the ranges' hull, whose page-table reads all stay
+    inside its cursor. Decode a byte with {!Backend.page_state_of_code}. *)
 
 val fork : t -> (t, Mm_hal.Errno.t) result
 (** A child instance duplicating this one's address space (same

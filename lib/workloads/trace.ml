@@ -449,23 +449,39 @@ let generate ~profile ~ncpus ~ops_per_cpu ~seed =
    one fiber per CPU over a shared table) and the differential oracle
    (sequential, with its own checks) both run every op through [exec]. *)
 
+module Key = struct
+  type t = int * int
+
+  let compare (p, i) (q, j) =
+    match Int.compare p q with 0 -> Int.compare i j | c -> c
+end
+
+module Regions = Map.Make (Key)
+
 type table = {
   procs : (int, System.t) Hashtbl.t;
       (* proc -> live instance; process 0 is the root and never exits *)
-  regions : (int * int, int * int) Hashtbl.t;
-      (* (proc, id) -> (addr, len). A fork copies the parent's entries
-         under the child's key: addresses are identical in the child. *)
+  mutable regions : (int * int) Regions.t;
+      (* (proc, id) -> (addr, len), sorted by key. A fork copies the
+         parent's entries under the child's key: addresses are identical
+         in the child. *)
 }
 
 let table root =
   let procs = Hashtbl.create 16 in
   Hashtbl.replace procs 0 root;
-  { procs; regions = Hashtbl.create 64 }
+  { procs; regions = Regions.empty }
 
 let process tbl proc = Hashtbl.find tbl.procs proc
+let regions tbl = Regions.bindings tbl.regions
 
-let regions tbl =
-  List.sort compare (Hashtbl.fold (fun k r acc -> (k, r) :: acc) tbl.regions [])
+(* The [(id, (addr, len))] regions of one process, sorted by id: only
+   that process's keys are visited. *)
+let process_regions tbl proc =
+  Regions.to_seq_from (proc, min_int) tbl.regions
+  |> Seq.take_while (fun ((p, _), _) -> p = proc)
+  |> Seq.map (fun ((_, id), r) -> (id, r))
+  |> List.of_seq
 
 type produced =
   | Unit
@@ -484,7 +500,7 @@ let exec tbl { proc; op; _ } =
   match Hashtbl.find_opt tbl.procs proc with
   | None -> Skipped (* defunct process: skip, like a dead region id *)
   | Some sys -> (
-    let region id = Hashtbl.find_opt tbl.regions (proc, id) in
+    let region id = Regions.find_opt (proc, id) tbl.regions in
     (* A data access to page [page] of region [id], skipped when the
        region is unknown or the page lies outside it. *)
     let access id page f =
@@ -506,7 +522,7 @@ let exec tbl { proc; op; _ } =
     | T_mmap { id; len; writable } ->
       done_
         (fun addr ->
-          Hashtbl.replace tbl.regions (proc, id) (addr, len);
+          tbl.regions <- Regions.add (proc, id) (addr, len) tbl.regions;
           Region (addr, len))
         (System.mmap sys ~len ~perm:(perm writable) ())
     | T_munmap { id } -> (
@@ -516,11 +532,11 @@ let exec tbl { proc; op; _ } =
         (* Drop the region before the call, which can yield: a fiber on
            another CPU must not reach it mid-unmap. A failed unmap puts
            it back. *)
-        Hashtbl.remove tbl.regions (proc, id);
+        tbl.regions <- Regions.remove (proc, id) tbl.regions;
         match System.munmap sys ~addr ~len with
         | Ok () -> Done (Region (addr, len))
         | Error e ->
-          Hashtbl.replace tbl.regions (proc, id) (addr, len);
+          tbl.regions <- Regions.add (proc, id) (addr, len) tbl.regions;
           Failed e))
     | T_touch { id; page; write } ->
       access id page (fun vaddr -> unit (System.touch sys ~vaddr ~write))
@@ -531,14 +547,10 @@ let exec tbl { proc; op; _ } =
       done_
         (fun csys ->
           Hashtbl.replace tbl.procs child csys;
-          let inherited =
-            List.sort compare
-              (Hashtbl.fold
-                 (fun (p, id) r acc -> if p = proc then (id, r) :: acc else acc)
-                 tbl.regions [])
-          in
+          let inherited = process_regions tbl proc in
           List.iter
-            (fun (id, r) -> Hashtbl.replace tbl.regions (child, id) r)
+            (fun (id, r) ->
+              tbl.regions <- Regions.add (child, id) r tbl.regions)
             inherited;
           Child (csys, inherited))
         (System.fork sys)
@@ -546,10 +558,9 @@ let exec tbl { proc; op; _ } =
       if proc <> 0 then begin
         System.destroy sys;
         Hashtbl.remove tbl.procs proc;
-        Hashtbl.fold
-          (fun (p, id) _ acc -> if p = proc then (p, id) :: acc else acc)
-          tbl.regions []
-        |> List.iter (Hashtbl.remove tbl.regions)
+        List.iter
+          (fun (id, _) -> tbl.regions <- Regions.remove (proc, id) tbl.regions)
+          (process_regions tbl proc)
       end;
       Done Unit
     | T_write { id; page; value } ->

@@ -139,9 +139,123 @@ let test_system_repopulate_after_destroy () =
                  check Alcotest.bool
                    (Printf.sprintf "%s old page %d unmapped" name i)
                    true
-                   (System.page_state sys ~vaddr:v = System.P_unmapped)
+                   (System.probe sys [ (v, ps) ] = "\000")
              done)))
     System.Registry.all
+
+(* The oracle's probe: one call over many ranges must read exactly what
+   one-page calls read, page by page, after a script that leaves every
+   kind of page behind — lazy and resident, write-protected, COW-shared
+   after a fork, a hole from a partial munmap, a 2 MiB region (one
+   upper-level mark on CortenMM, one huge leaf with THP on) and, on
+   CortenMM, swapped slots under pressure. Named pages are checked
+   against bytes derived by hand from the backend's capabilities. *)
+let test_system_probe_consistent () =
+  let module Probe = Mm_hal.Probe in
+  let thp = System.Corten (Cortenmm.Config.with_thp Cortenmm.Config.rw) in
+  let backends =
+    List.map (fun e -> e.System.Registry.r_backend) System.Registry.all
+    @ [ System.backend_of_kind thp ]
+  in
+  List.iter
+    (fun b ->
+      let sys = System.of_backend b ~ncpus:1 in
+      let name = sys.System.name in
+      let huge_leaf = sys.System.kind = thp in
+      let ps = sys.System.page_size in
+      let two_mib = 512 * ps in
+      let ok r = Errno.ok_exn r in
+      let mmap ?addr pages =
+        ok (System.mmap sys ?addr ~len:(pages * ps) ~perm:Perm.rw ())
+      in
+      let touch a p =
+        ignore (System.touch sys ~vaddr:(a + (p * ps)) ~write:true)
+      in
+      let result = ref None in
+      ignore
+        (Runner.run_threads ~ncpus:1 (fun _ ->
+            let a = mmap 8 in
+            for p = 0 to 3 do touch a p done;
+            let bb = mmap 4 in
+            touch bb 0;
+            ignore (System.mprotect sys ~addr:bb ~len:(4 * ps) ~perm:Perm.r);
+            let c = mmap 6 in
+            for p = 0 to 5 do touch c p done;
+            ok (System.munmap sys ~addr:(c + (2 * ps)) ~len:(2 * ps));
+            let h = mmap ~addr:(1024 * two_mib) 512 in
+            (* With THP on, the fault that fills the leaf PT page promotes
+               the region to one huge leaf and frees that page. *)
+            if huge_leaf then for p = 0 to 510 do touch h p done;
+            let pt_before = (System.mem_stats sys).System.pt_bytes in
+            if huge_leaf then touch h 511;
+            let pt_after = (System.mem_stats sys).System.pt_bytes in
+            let swapped =
+              if System.has_reclaim sys then begin
+                ok (System.mlock sys ~addr:a ~len:(4 * ps));
+                ok (System.pressure sys ~target_pages:1_000_000)
+              end
+              else 0
+            in
+            let child = ok (System.fork sys) in
+            ignore (System.write_value child ~vaddr:(a + ps) ~value:5);
+            let ranges =
+              [ (a, 8 * ps); (bb, 4 * ps); (c, 6 * ps); (h, two_mib) ]
+            in
+            let probes s =
+              ( System.probe s ranges,
+                String.concat ""
+                  (List.concat_map
+                     (fun (addr, len) ->
+                       List.init (len / ps) (fun p ->
+                           System.probe s [ (addr + (p * ps), ps) ]))
+                     ranges) )
+            in
+            result :=
+              Some (probes sys, probes child, swapped, pt_before - pt_after)));
+      let (whole, pages), (cwhole, cpages), swapped, pt_freed =
+        Option.get !result
+      in
+      let name = if huge_leaf then name ^ "+thp" else name in
+      check Alcotest.string (name ^ " parent: one probe = page probes") pages
+        whole;
+      check Alcotest.string (name ^ " child: one probe = page probes") cpages
+        cwhole;
+      if System.has_reclaim sys then
+        check Alcotest.bool (name ^ " pressure swapped pages") true
+          (swapped > 0);
+      if huge_leaf then
+        check Alcotest.int (name ^ " promotion freed the leaf PT page") ps
+          pt_freed;
+      (* Expected bytes, at offsets 0 (a), 8 (b), 12 (c) and 18 (h). Only
+         demand paging, mprotect and reclaim tell the backends apart: with
+         reclaim, pressure swapped out every unwired 4 KiB page. *)
+      let m = Probe.mapped and w = Probe.writable and r = Probe.resident in
+      let lazy_rw =
+        if System.demand_paging sys then m lor w else m lor w lor r
+      in
+      let mp = System.has_mprotect sys and rc = System.has_reclaim sys in
+      List.iter
+        (fun (what, probe, byte, want) ->
+          check Alcotest.int
+            (Printf.sprintf "%s: %s" name what)
+            want (Char.code probe.[byte]))
+        [
+          ("a page 0, written, COW-shared", whole, 0, m lor w lor r);
+          ("a page 6, never touched", whole, 6, lazy_rw);
+          ( "b page 0, written then read-only",
+            whole, 8,
+            if not mp then m lor w lor r else if rc then m else m lor r );
+          ("b page 2, read-only, never touched", whole, 10,
+            if mp then m else lazy_rw);
+          ("c page 2, unmapped hole", whole, 14, 0);
+          ( "c page 5, written", whole, 17,
+            if rc then m lor w else m lor w lor r );
+          ("h page 200", whole, 18 + 200,
+            if huge_leaf then m lor w lor r else lazy_rw);
+          ("child a page 1, written in the child", cwhole, 1, m lor w lor r);
+          ("child c page 3, unmapped hole", cwhole, 15, 0);
+        ])
+    backends
 
 (* -- Allocator models -- *)
 
@@ -616,6 +730,8 @@ let () =
             test_system_stale_access_after_munmap;
           Alcotest.test_case "repopulate after destroy" `Quick
             test_system_repopulate_after_destroy;
+          Alcotest.test_case "probe: one call = page calls" `Quick
+            test_system_probe_consistent;
         ] );
       ( "allocators",
         [
